@@ -36,8 +36,8 @@
 // at the transport falls back to serving locally.
 //
 // Predict and sweep bodies accept an optional "engine" field selecting
-// the simulation engine ("goroutine" or "sequential" — bit-identical
-// results, the sequential engine is faster); -default-engine sets the
+// the simulation engine ("sequential", the faster default, or
+// "goroutine", the reference — bit-identical results); -default-engine sets the
 // server-wide default and the engine_* /metrics families are labelled
 // per mode.
 //
@@ -87,7 +87,7 @@ func main() {
 		spanCap  = flag.Int("span-capacity", 0, "span flight-recorder capacity (0 = 4096)")
 		maxCamp  = flag.Int("max-campaigns", 0, "max concurrent characterisation/sweep campaigns; excess requests get 429 (0 = 4)")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline cancelling in-flight work, e.g. 30s (0 = none)")
-		defEng   = flag.String("default-engine", "", "simulation engine for requests without an \"engine\" field: goroutine or sequential (default $HYBRIDPERF_ENGINE, then goroutine)")
+		defEng   = flag.String("default-engine", "", "simulation engine for requests without an \"engine\" field: sequential or goroutine (default $HYBRIDPERF_ENGINE, then sequential)")
 		cacheSz  = flag.Int("response-cache-size", 512, "sweep/batch response cache entries; identical in-flight requests collapse onto one computation (0 = disabled)")
 		cacheTTL = flag.Duration("response-cache-ttl", 5*time.Minute, "response cache entry lifetime (0 = entries never expire)")
 		storeDir = flag.String("model-store", "", "directory for persistent characterisation snapshots; warm-loaded at boot, written after every campaign (empty = no persistence)")

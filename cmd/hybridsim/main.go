@@ -31,7 +31,7 @@ func main() {
 		c        = flag.Int("c", 1, "cores per node")
 		fGHz     = flag.Float64("f", 0, "core frequency [GHz]; 0 = fmax")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		engine   = flag.String("engine", "", "simulation engine: goroutine or sequential (default $HYBRIDPERF_ENGINE, then goroutine; results are bit-identical)")
+		engine   = flag.String("engine", "", "simulation engine: sequential or goroutine (default $HYBRIDPERF_ENGINE, then sequential; results are bit-identical)")
 		timeline = flag.Bool("timeline", false, "render a per-rank phase Gantt chart")
 		traceOut = flag.String("trace", "", "write the phase timeline as a Chrome-trace JSON file")
 		showMx   = flag.Bool("metrics", false, "report engine instrumentation counters")

@@ -167,8 +167,8 @@ func governorFor(policy string, prof *machine.Profile, cfg machine.Config, prior
 
 // Advise evaluates the governor policy suite for one (system, program,
 // n, c): it picks the static Pareto point over the frequency axis, runs
-// the ungoverned DES once at that point (recording the per-rank phase
-// trace that seeds the phase-predictive governor), then replays the run
+// the ungoverned DES once at that point (accumulating the per-rank phase
+// totals that seed the phase-predictive governor), then replays the run
 // once per policy and reports the deltas. Everything is deterministic for
 // a fixed seed, on either engine.
 func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt AdviseOptions) (*Advice, error) {
@@ -207,8 +207,8 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 	}
 
 	// 2. Ungoverned baseline run at the static point, with the per-rank
-	// phase trace recorded through PhaseSink (observation only: the
-	// baseline is bit-identical to the same run without the sink).
+	// phase totals accumulated through PhaseTotals (observation only: the
+	// baseline is bit-identical to the same run without the hook).
 	base := exec.Request{
 		Prof:          prof,
 		Spec:          spec,
@@ -221,8 +221,8 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		Observe:       opt.Observe,
 	}
 	prior := map[int]dvfs.PhaseSample{}
-	base.PhaseSink = func(_ string, events []trace.Event) {
-		for rank, kinds := range trace.Summary(events) {
+	base.PhaseTotals = func(totals map[int]map[trace.Kind]float64) {
+		for rank, kinds := range totals {
 			prior[rank] = dvfs.PhaseSample{
 				Compute:  kinds[trace.Compute],
 				MemStall: kinds[trace.MemStall],
@@ -249,7 +249,7 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 			return nil, err
 		}
 		req := base
-		req.PhaseSink = nil
+		req.PhaseTotals = nil
 		req.Governor = factory
 		reqs = append(reqs, req)
 		schedules = append(schedules, schedule)

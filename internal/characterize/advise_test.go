@@ -7,6 +7,7 @@ import (
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/dvfs"
+	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -108,5 +109,29 @@ func TestAdviseValidation(t *testing.T) {
 	}
 	if _, err := Advise(m, prof, spec, AdviseOptions{Class: "Z", Nodes: 2, Cores: 4, Seed: 1}); err == nil {
 		t.Error("unknown class accepted")
+	}
+}
+
+// TestAdviseAllocBudget pins the allocation cost of one advise — four DES
+// runs plus the static sweep — on the sequential engine. The baseline's
+// phase totals are accumulated as the run goes, so the per-rank timeline
+// is never stored; keeping a trace just to summarise it, or a resource
+// queue that reallocates per enqueue, each blow the budget alone.
+func TestAdviseAllocBudget(t *testing.T) {
+	const budget = 2000
+	m, prof, spec := adviseFixture(t)
+	opt := AdviseOptions{Class: workload.ClassS, Nodes: 4, Cores: 4, Seed: 42, Workers: 2, Engine: exec.EngineSequential}
+	var adviseErr error
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Advise(m, prof, spec, opt); err != nil {
+			adviseErr = err
+		}
+	})
+	if adviseErr != nil {
+		t.Fatal(adviseErr)
+	}
+	t.Logf("%.0f allocs per advise (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("characterize.Advise allocated %.0f objects per advise, budget %d", allocs, budget)
 	}
 }

@@ -9,7 +9,8 @@ type Resource struct {
 	k     *Kernel
 	name  string
 	busy  bool
-	queue []*Proc // FCFS waiters, head is next to be granted
+	queue []*Proc // FCFS waiters are queue[head:]
+	head  int     // index of the next waiter to be granted
 
 	// Statistics.
 	served       int64
@@ -55,6 +56,15 @@ func (r *Resource) Acquire(p *Proc) (wait float64) {
 // the server.
 func (r *Resource) AcquireArm(p *Proc) bool {
 	if r.busy {
+		// Popping advances head rather than reslicing, so the backing
+		// array is reused: Release rewinds it when the queue drains, and a
+		// full array with popped slots is compacted here instead of
+		// grown, bounding its capacity by twice the peak number of waiters.
+		if r.head > 0 && len(r.queue) == cap(r.queue) {
+			n := copy(r.queue, r.queue[r.head:])
+			clear(r.queue[n:])
+			r.queue, r.head = r.queue[:n], 0
+		}
 		r.queue = append(r.queue, p)
 		p.HaltArm()
 		return false
@@ -83,9 +93,13 @@ func (r *Resource) ServeDone(service float64) {
 
 // Release frees the server and grants it to the next waiter, if any.
 func (r *Resource) Release() {
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.head < len(r.queue) {
+		next := r.queue[r.head]
+		r.queue[r.head] = nil
+		r.head++
+		if r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		// Server stays busy: hand-off is immediate.
 		next.Wake()
 		return
@@ -96,7 +110,7 @@ func (r *Resource) Release() {
 
 // QueueLen reports the number of processes waiting (not counting the one
 // in service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // Busy reports whether the server is occupied.
 func (r *Resource) Busy() bool { return r.busy }

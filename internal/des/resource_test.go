@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"hybridperf/internal/queueing"
 )
@@ -222,5 +223,79 @@ func TestMD1AgainstTheory(t *testing.T) {
 	got := r.Stats().MeanWait
 	if math.Abs(got-want)/want > 0.10 {
 		t.Fatalf("simulated M/D/1 wait %.3f vs theory %.3f (>10%% off)", got, want)
+	}
+}
+
+// TestResourceQueueProperties drives random arrival, service and think
+// schedules — many customers, several holds each, zero-length services
+// included — through one resource and checks after every acquire and
+// release that the grants come in FCFS (call) order, that QueueLen equals
+// the number of processes actually waiting, and that the queue's backing
+// array never grows past twice the peak number of concurrent waiters:
+// popping reuses the array instead of leaking its head.
+func TestResourceQueueProperties(t *testing.T) {
+	f := func(seed int64, customers uint8) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		k := NewKernel()
+		r := NewResource(k, "srv")
+		var (
+			calls, grants []int
+			waiting, peak int
+			ok            = true
+		)
+		check := func() {
+			if r.QueueLen() != waiting || cap(r.queue) > 2*peak {
+				ok = false
+			}
+		}
+		for i := 0; i < int(customers)%48+1; i++ {
+			i := i
+			arrive := rnd.Float64()
+			holds := 1 + rnd.Intn(4)
+			services := make([]float64, holds)
+			thinks := make([]float64, holds)
+			for j := range services {
+				if rnd.Intn(4) > 0 {
+					services[j] = rnd.Float64() * 0.2
+				}
+				thinks[j] = rnd.Float64() * 0.5
+			}
+			k.Spawn("c", func(p *Proc) {
+				p.Advance(arrive)
+				for j := 0; j < holds; j++ {
+					if r.Busy() {
+						waiting++
+						peak = max(peak, waiting)
+					}
+					calls = append(calls, i)
+					r.Acquire(p)
+					grants = append(grants, i)
+					check()
+					p.Advance(services[j])
+					if waiting > 0 {
+						waiting-- // Release hands the server to the head waiter
+					}
+					r.Release()
+					check()
+					p.Advance(thinks[j])
+				}
+			})
+		}
+		if err := k.Run(math.Inf(1)); err != nil {
+			t.Log(err)
+			return false
+		}
+		if len(grants) != len(calls) || r.QueueLen() != 0 || r.Busy() {
+			return false
+		}
+		for i := range calls {
+			if grants[i] != calls[i] {
+				return false
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,8 +19,10 @@ func BenchmarkRun(b *testing.B) { benchmarkRun(b, EngineGoroutine) }
 // engine: identical results, no channel handoff per event.
 func BenchmarkRunSequential(b *testing.B) { benchmarkRun(b, EngineSequential) }
 
-func benchmarkRun(b *testing.B, engine string) {
-	req := Request{
+// runFixture is the BenchmarkRun request: NPB SP, class S, on 8 Xeon
+// nodes x 8 cores at 1.8 GHz, seed 1.
+func runFixture(engine string) Request {
+	return Request{
 		Prof:   machine.XeonE5(),
 		Spec:   workload.SP(),
 		Class:  workload.ClassS,
@@ -28,6 +30,10 @@ func benchmarkRun(b *testing.B, engine string) {
 		Seed:   1,
 		Engine: engine,
 	}
+}
+
+func benchmarkRun(b *testing.B, engine string) {
+	req := runFixture(engine)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

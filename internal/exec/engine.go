@@ -10,17 +10,19 @@ import (
 // determinism and cross-engine differential tests enforce this.
 const (
 	// EngineGoroutine is the reference engine: one goroutine per simulated
-	// process with direct channel handoff between them.
+	// process with direct channel handoff between them. It stays as the
+	// differential reference and an explicit opt-in.
 	EngineGoroutine = "goroutine"
-	// EngineSequential is the goroutine-free engine: process bodies run as
-	// continuation machines dispatched by one scheduler loop, eliminating
-	// the per-event handoff — the faster choice for production campaigns.
+	// EngineSequential is the goroutine-free engine and the default:
+	// process bodies run as continuation machines dispatched by one
+	// scheduler loop, eliminating the per-event handoff.
 	EngineSequential = "sequential"
 )
 
 // EngineEnv is the environment variable consulted when Request.Engine is
-// empty: set HYBRIDPERF_ENGINE=sequential to flip the process-wide default
-// (CI uses this to run the full test suite on the sequential engine).
+// empty: set HYBRIDPERF_ENGINE=goroutine to flip the process-wide default
+// to the reference engine (CI uses this to run the full test suite on
+// each engine).
 const EngineEnv = "HYBRIDPERF_ENGINE"
 
 // Engines lists the selectable engine names.
@@ -38,7 +40,7 @@ func ValidateEngine(name string) error {
 
 // resolveEngine maps a Request.Engine value to a concrete engine name:
 // explicit names are validated, empty falls back to $HYBRIDPERF_ENGINE and
-// then to the goroutine engine. A malformed environment value is an error
+// then to the sequential engine. A malformed environment value is an error
 // rather than a silent fallback.
 func resolveEngine(name string) (string, error) {
 	if name != "" {
@@ -50,7 +52,7 @@ func resolveEngine(name string) (string, error) {
 	env := os.Getenv(EngineEnv)
 	switch env {
 	case "":
-		return EngineGoroutine, nil
+		return EngineSequential, nil
 	case EngineGoroutine, EngineSequential:
 		return env, nil
 	}
@@ -58,12 +60,12 @@ func resolveEngine(name string) (string, error) {
 }
 
 // DefaultEngine reports the engine an empty Request.Engine resolves to.
-// A malformed $HYBRIDPERF_ENGINE reports the goroutine engine here; Run
+// A malformed $HYBRIDPERF_ENGINE reports the sequential engine here; Run
 // itself surfaces the error.
 func DefaultEngine() string {
 	e, err := resolveEngine("")
 	if err != nil {
-		return EngineGoroutine
+		return EngineSequential
 	}
 	return e
 }

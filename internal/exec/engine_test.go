@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"hybridperf/internal/des"
 	"hybridperf/internal/machine"
@@ -26,17 +28,17 @@ func TestValidateEngine(t *testing.T) {
 
 func TestDefaultEngineFromEnvironment(t *testing.T) {
 	t.Setenv(EngineEnv, "")
-	if got := DefaultEngine(); got != EngineGoroutine {
-		t.Fatalf("DefaultEngine() = %q with no env, want %q", got, EngineGoroutine)
-	}
-	t.Setenv(EngineEnv, EngineSequential)
 	if got := DefaultEngine(); got != EngineSequential {
-		t.Fatalf("DefaultEngine() = %q, want %q", got, EngineSequential)
+		t.Fatalf("DefaultEngine() = %q with no env, want %q", got, EngineSequential)
+	}
+	t.Setenv(EngineEnv, EngineGoroutine)
+	if got := DefaultEngine(); got != EngineGoroutine {
+		t.Fatalf("DefaultEngine() = %q, want %q", got, EngineGoroutine)
 	}
 	// DefaultEngine itself falls back on garbage; Run surfaces the error.
 	t.Setenv(EngineEnv, "warp-drive")
-	if got := DefaultEngine(); got != EngineGoroutine {
-		t.Fatalf("DefaultEngine() = %q with malformed env, want fallback %q", got, EngineGoroutine)
+	if got := DefaultEngine(); got != EngineSequential {
+		t.Fatalf("DefaultEngine() = %q with malformed env, want fallback %q", got, EngineSequential)
 	}
 	req := xeonReq(machine.Config{Nodes: 1, Cores: 1, Freq: 1.8e9})
 	if _, err := Run(req); err == nil || !strings.Contains(err.Error(), "HYBRIDPERF_ENGINE") {
@@ -70,13 +72,13 @@ func TestResultReportsEngine(t *testing.T) {
 			t.Fatalf("%s engine reported empty stats: %+v", engine, res.Engine)
 		}
 	}
-	t.Setenv(EngineEnv, EngineSequential)
+	t.Setenv(EngineEnv, EngineGoroutine)
 	res, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine.Engine != EngineSequential {
-		t.Fatalf("env default not honoured: ran %q, want %q", res.Engine.Engine, EngineSequential)
+	if res.Engine.Engine != EngineGoroutine {
+		t.Fatalf("env default not honoured: ran %q, want %q", res.Engine.Engine, EngineGoroutine)
 	}
 }
 
@@ -114,5 +116,30 @@ func TestRunSpecSeamRequiresGoroutine(t *testing.T) {
 	}
 	if res.Engine.Engine != EngineGoroutine {
 		t.Fatalf("seam ran on %q, want forced %q", res.Engine.Engine, EngineGoroutine)
+	}
+}
+
+// TestObserveLabelsNonDefaultEngine: span labels stay unannotated for runs
+// on the resolved default engine and name any other engine explicitly —
+// whichever engine $HYBRIDPERF_ENGINE makes the default.
+func TestObserveLabelsNonDefaultEngine(t *testing.T) {
+	for _, def := range Engines() {
+		t.Setenv(EngineEnv, def)
+		for _, engine := range append([]string{""}, Engines()...) {
+			var label string
+			req := xeonReq(machine.Config{Nodes: 1, Cores: 2, Freq: 1.8e9})
+			req.Engine = engine
+			req.Observe = func(l string, _, _ time.Time) { label = l }
+			if _, err := Run(req); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg)
+			if engine != "" && engine != def {
+				want += " engine=" + engine
+			}
+			if label != want {
+				t.Errorf("default %s, engine %q: label %q, want %q", def, engine, label, want)
+			}
+		}
 	}
 }

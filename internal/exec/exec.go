@@ -35,11 +35,11 @@ type Request struct {
 	Cfg   machine.Config
 	Seed  int64
 
-	// Engine selects the DES process engine: EngineGoroutine (the
-	// reference: one goroutine per simulated process) or EngineSequential
+	// Engine selects the DES process engine: EngineSequential
 	// (continuation machines on one scheduler loop — no goroutines, no
-	// channel handoffs, typically >2x faster). Empty resolves via
-	// $HYBRIDPERF_ENGINE, then to the goroutine engine. Both engines
+	// channel handoffs, typically >3x faster) or EngineGoroutine (the
+	// reference: one goroutine per simulated process). Empty resolves via
+	// $HYBRIDPERF_ENGINE, then to the sequential engine. Both engines
 	// produce bit-for-bit identical results.
 	Engine string
 
@@ -96,6 +96,14 @@ type Request struct {
 	// the run returns. Purely observational: recording never feeds back
 	// into the simulation, so results are bit-identical with or without it.
 	PhaseSink func(label string, events []trace.Event)
+
+	// PhaseTotals, when non-nil, receives the run's per-rank, per-kind
+	// phase durations after a successful run — bit-equal to
+	// trace.Summary over the timeline PhaseSink would receive, but
+	// accumulated as the phases happen, so the timeline itself is never
+	// stored unless Trace or PhaseSink asks for it. Purely observational,
+	// like PhaseSink.
+	PhaseTotals func(totals map[int]map[trace.Kind]float64)
 
 	// runSpec, when non-nil, replaces req.Spec.Run as the per-rank entry
 	// point — a test seam for injecting per-rank failures, which the
@@ -224,6 +232,10 @@ func Run(req Request) (*Result, error) {
 	var rec *trace.Recorder
 	if req.Trace || req.PhaseSink != nil {
 		rec = trace.NewRecorder(0)
+	} else if req.PhaseTotals != nil {
+		rec = trace.NewSummaryRecorder(0)
+	}
+	if rec != nil {
 		for _, nd := range nodes {
 			nd.SetTrace(rec)
 		}
@@ -295,6 +307,9 @@ func Run(req Request) (*Result, error) {
 	if req.PhaseSink != nil {
 		req.PhaseSink(fmt.Sprintf("%s %v", req.Spec.Name, req.Cfg), rec.Events())
 	}
+	if req.PhaseTotals != nil {
+		req.PhaseTotals(rec.Summary())
+	}
 	if mx != nil {
 		// For a shared engine, report this run's contribution as the
 		// end-minus-start delta (pre is zero for a fresh engine).
@@ -331,7 +346,7 @@ func Run(req Request) (*Result, error) {
 	}
 	if req.Observe != nil {
 		label := fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg)
-		if engine != EngineGoroutine {
+		if engine != DefaultEngine() {
 			// Keep span labels honest about which engine produced the run;
 			// the default engine stays unannotated for label stability.
 			label += " engine=" + engine

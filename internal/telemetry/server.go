@@ -66,7 +66,7 @@ type Config struct {
 	AdviseMaxSlowdown float64
 	// DefaultEngine is the simulation engine used by requests that omit
 	// the "engine" field (see exec.Engines). Empty resolves through
-	// exec.DefaultEngine ($HYBRIDPERF_ENGINE, then the goroutine
+	// exec.DefaultEngine ($HYBRIDPERF_ENGINE, then the sequential
 	// engine); an unknown name panics in NewServer — validate
 	// user-supplied values with exec.ValidateEngine first.
 	DefaultEngine string

@@ -304,7 +304,7 @@ func TestAttributionSeriesExposed(t *testing.T) {
 		"hybridperf_simulated_seconds_total",
 		"hybridperf_predicted_energy_joules_total",
 	} {
-		needle := fmt.Sprintf(`%s{engine="%s",route="/v1/predict"}`, fam, exec.EngineGoroutine)
+		needle := fmt.Sprintf(`%s{engine="%s",route="/v1/predict"}`, fam, exec.DefaultEngine())
 		alt := fmt.Sprintf(`%s{route="/v1/predict",engine=`, fam)
 		if !strings.Contains(string(raw), needle) && !strings.Contains(string(raw), alt) {
 			t.Errorf("/metrics missing %s for /v1/predict:\n%s", fam, grepLines(raw, fam))

@@ -76,11 +76,16 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 
 // Recorder accumulates events. The zero value is ready to use; a nil
 // *Recorder safely ignores Add calls, so instrumentation sites need no
-// conditionals.
+// conditionals. Alongside the events it keeps running per-(rank, kind)
+// duration totals (see Recorder.Summary); a recorder made with
+// NewSummaryRecorder keeps only those totals.
 type Recorder struct {
-	events  []Event
-	limit   int
-	dropped int
+	events      []Event
+	summaryOnly bool                // totals only: events is never appended to
+	accepted    int                 // events accepted so far (stored or totalled)
+	totals      [][numKinds]float64 // per rank, per kind: summed durations
+	limit       int
+	dropped     int
 }
 
 // NewRecorder creates a recorder holding at most limit events (<= 0 means
@@ -91,6 +96,16 @@ func NewRecorder(limit int) *Recorder {
 		limit = 1 << 20
 	}
 	return &Recorder{limit: limit}
+}
+
+// NewSummaryRecorder creates a recorder that applies exactly the
+// acceptance rules of NewRecorder(limit) but stores no events: it keeps
+// only the per-(rank, kind) totals Recorder.Summary reports, so a run
+// whose timeline is only ever summarised never builds the event slice.
+func NewSummaryRecorder(limit int) *Recorder {
+	r := NewRecorder(limit)
+	r.summaryOnly = true
+	return r
 }
 
 // Add records one phase. It is a no-op on a nil recorder and on
@@ -113,14 +128,25 @@ func (r *Recorder) Add(rank int, kind Kind, start, end float64) {
 	if end == start {
 		return
 	}
-	if len(r.events) >= r.limit {
+	if r.accepted >= r.limit {
 		r.dropped++
 		return
 	}
-	r.events = append(r.events, Event{Rank: rank, Kind: kind, Start: start, End: end})
+	r.accepted++
+	for rank >= len(r.totals) {
+		r.totals = append(r.totals, [numKinds]float64{})
+	}
+	// The same subtraction Event.Duration performs, summed in insertion
+	// order per (rank, kind) — what keeps Summary bit-equal to the
+	// package-level Summary over the stored events.
+	r.totals[rank][kind] += end - start
+	if !r.summaryOnly {
+		r.events = append(r.events, Event{Rank: rank, Kind: kind, Start: start, End: end})
+	}
 }
 
-// Events returns the recorded events in insertion order.
+// Events returns the recorded events in insertion order (none for a
+// recorder made with NewSummaryRecorder).
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -136,6 +162,31 @@ func (r *Recorder) Dropped() int {
 		return 0
 	}
 	return r.dropped
+}
+
+// Summary reports the total duration per (rank, kind) of every accepted
+// event, bit-equal to Summary(r.Events()) on a storing recorder: the
+// totals are accumulated in the same order as events arrive. Ranks and
+// kinds that saw no event are absent, as there. Nil on a nil recorder.
+func (r *Recorder) Summary() map[int]map[Kind]float64 {
+	if r == nil {
+		return nil
+	}
+	out := make(map[int]map[Kind]float64)
+	for rank, kinds := range r.totals {
+		for kind, total := range kinds {
+			// An accepted event has End > Start, so its duration — and any
+			// total it contributes to — is strictly positive.
+			if total == 0 {
+				continue
+			}
+			if out[rank] == nil {
+				out[rank] = make(map[Kind]float64)
+			}
+			out[rank][Kind(kind)] = total
+		}
+	}
+	return out
 }
 
 // Summary aggregates total duration per (rank, kind).

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestRecorderBasics(t *testing.T) {
@@ -202,5 +204,77 @@ func TestGanttMemStallGlyph(t *testing.T) {
 		if !strings.Contains(row, glyph) {
 			t.Fatalf("row lacks %q: %q", glyph, row)
 		}
+	}
+}
+
+// randomPhase draws one Add argument tuple, mixing well-formed phases
+// spanning many magnitudes (so summation order shows at the ULP level)
+// with zero-length ones and every malformed shape Add rejects: negative
+// rank, out-of-range kind, NaN/Inf/negative timestamps and End < Start.
+func randomPhase(rnd *rand.Rand) (rank int, kind Kind, start, end float64) {
+	rank = rnd.Intn(6) - 1
+	kind = Kind(rnd.Intn(int(numKinds)+2) - 1)
+	start = rnd.Float64() * math.Pow(10, float64(rnd.Intn(8)-4))
+	end = start + rnd.Float64()*math.Pow(10, float64(rnd.Intn(10)-6))
+	switch rnd.Intn(10) {
+	case 0:
+		end = start
+	case 1:
+		start, end = end, start
+	case 2:
+		start = math.NaN()
+	case 3:
+		end = math.Inf(1)
+	case 4:
+		start = -start - 1
+	}
+	return
+}
+
+// sameTotals reports whether two summaries hold the same (rank, kind)
+// keys with bit-identical totals.
+func sameTotals(a, b map[int]map[Kind]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for rank, ka := range a {
+		kb, ok := b[rank]
+		if !ok || len(ka) != len(kb) {
+			return false
+		}
+		for kind, v := range ka {
+			w, ok := kb[kind]
+			if !ok || math.Float64bits(v) != math.Float64bits(w) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRecorderSummaryProperty: the totals a recorder streams are
+// bit-equal to Summary over the events it stored, for a storing recorder
+// and for a summary-only one fed the same random Add sequence, under the
+// same acceptance, zero-length and limit rules.
+func TestRecorderSummaryProperty(t *testing.T) {
+	f := func(seed int64, limit uint8) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		full := NewRecorder(int(limit))
+		sum := NewSummaryRecorder(int(limit))
+		for i := 0; i < 400; i++ {
+			rank, kind, start, end := randomPhase(rnd)
+			full.Add(rank, kind, start, end)
+			sum.Add(rank, kind, start, end)
+		}
+		want := Summary(full.Events())
+		return sameTotals(full.Summary(), want) && sameTotals(sum.Summary(), want) &&
+			sum.Events() == nil && sum.Dropped() == full.Dropped()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	var nilRec *Recorder
+	if nilRec.Summary() != nil {
+		t.Fatal("nil recorder returned a summary")
 	}
 }
