@@ -73,7 +73,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req adviseRequest
-	if !decodeJSONBytes(w, body, &req) {
+	if err := decodeAdviseRequest(body, &req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if rt != nil {

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,14 +24,22 @@ const maxBatchTuples = 65536
 // default because a full dense grid is tens of thousands of tuples.
 const maxBatchBodyBytes = 8 << 20
 
-// cfgSlicePool and ptsSlicePool recycle the two per-batch scratch slices
-// (the canonical configuration list and its evaluation output) across
-// requests, so a steady stream of large batches doesn't allocate two
-// multi-thousand-element slices per request.
-var (
-	cfgSlicePool = sync.Pool{New: func() any { return new([]machine.Config) }}
-	ptsSlicePool = sync.Pool{New: func() any { return new([]pareto.Point) }}
-)
+// batchScratch is one batch request's working memory: the decoded
+// tuples, their canonical form, the resolved (system, program) groups,
+// the evaluation's configurations and points, and the buffer the answer
+// is rendered into before it is copied out at its exact size. It is
+// recycled across requests, so a steady stream of batches allocates none
+// of it; nothing in it outlives the request.
+type batchScratch struct {
+	tuples []batchTuple
+	canon  []canonTuple
+	groups []batchGroup
+	cfgs   []machine.Config
+	pts    []pareto.Point
+	doc    []byte
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // batchTuple is one (system, program, n, c, f) coordinate of a /v1/batch
 // request. freq_ghz 0 resolves to the system's f_max, exactly as
@@ -50,14 +61,6 @@ type batchRequest struct {
 	Engine  string       `json:"engine"`  // "" = server default
 	Workers int          `json:"workers"` // 0 = server default
 	Tuples  []batchTuple `json:"tuples"`
-}
-
-// batchResultJSON is one prediction of a batch answer, tagged with its
-// model coordinates (a batch may span several (system, program) groups).
-type batchResultJSON struct {
-	System  string `json:"system"`
-	Program string `json:"program"`
-	predictionJSON
 }
 
 // handleBatch serves POST /v1/batch: validate and canonicalise the tuple
@@ -103,8 +106,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var req batchRequest
-	if !decodeJSONBytes(w, body, &req) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	req := batchRequest{Tuples: sc.tuples}
+	err := decodeBatchRequest(body, &req)
+	if cap(req.Tuples) > cap(sc.tuples) && len(req.Tuples) <= maxBatchTuples {
+		sc.tuples = req.Tuples[:0] // keep the growth of a batch that may be served
+	}
+	if err != nil {
+		badBody(w, err)
 		return
 	}
 	if rt != nil {
@@ -129,25 +139,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate every tuple in request order (errors name the offending
-	// index), resolving names and the freq_ghz=0 default; iteration
-	// counts are resolved per program up front so a bad class fails
-	// before any evaluation.
-	profs := map[string]*machine.Profile{}
-	iters := map[string]int{}
-	canon := make([]canonTuple, len(req.Tuples))
+	// index), resolving names and the freq_ghz=0 default. Each (system,
+	// program) group resolves its profile and iteration count once, so a
+	// bad class fails before any evaluation.
+	sc.groups = sc.groups[:0]
+	canon := sc.canon[:0]
 	for i, t := range req.Tuples {
-		prof, ok := profs[t.System]
-		if !ok {
-			var err error
-			if prof, err = machine.ByName(t.System); err != nil {
+		key := modelKey{system: t.System, program: t.Program}
+		g := findGroup(sc.groups, key)
+		if g == nil {
+			prof, spec := s.catalogue(key)
+			if prof == nil {
 				httpError(w, http.StatusBadRequest, "tuple %d: unknown system %q", i, t.System)
 				return
 			}
-			profs[t.System] = prof
-		}
-		if _, ok := iters[t.Program]; !ok {
-			spec, err := workload.ByName(t.Program)
-			if err != nil {
+			if spec == nil {
 				httpError(w, http.StatusBadRequest, "tuple %d: unknown program %q", i, t.Program)
 				return
 			}
@@ -156,18 +162,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
 				return
 			}
-			iters[t.Program] = S
+			sc.groups = append(sc.groups, batchGroup{key: key, prof: prof, iters: S})
+			g = &sc.groups[len(sc.groups)-1]
 		}
 		cfg := machine.Config{Nodes: t.Nodes, Cores: t.Cores, Freq: t.FreqGHz * 1e9}
 		if t.FreqGHz == 0 {
-			cfg.Freq = prof.FMax()
+			cfg.Freq = g.prof.FMax()
 		}
-		if err := prof.ValidateModelConfig(cfg); err != nil {
+		if err := g.prof.ValidateModelConfig(cfg); err != nil {
 			httpError(w, http.StatusBadRequest, "tuple %d: invalid configuration: %v", i, err)
 			return
 		}
-		canon[i] = canonTuple{system: t.System, program: t.Program, cfg: cfg}
+		canon = append(canon, canonTuple{system: t.System, program: t.Program, cfg: cfg})
 	}
+	sc.canon = canon[:0] // keep the growth
 	canon = canonicalizeTuples(canon)
 
 	// A batch whose every tuple is owned by one remote replica forwards
@@ -208,93 +216,151 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 		t0 := time.Now()
-		results, groups, err := s.evaluateBatch(r, canon, iters, engine, workers)
+		ngroups, err := s.evaluateBatch(r, sc, canon, engine, workers)
 		if err != nil {
 			return nil, err
 		}
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("batch %d tuples (%d groups)", len(canon), groups),
+		s.spans.Observe("model", fmt.Sprintf("batch %d tuples (%d groups)", len(canon), ngroups),
 			t0, tEval, map[string]any{"id": requestID(r.Context())})
 		if rt != nil {
-			rt.AddSpan("model", fmt.Sprintf("evaluate batch (%d tuples, %d groups)", len(canon), groups), t0, tEval)
+			rt.AddSpan("model", fmt.Sprintf("evaluate batch (%d tuples, %d groups)", len(canon), ngroups), t0, tEval)
 		}
 		endRender := rt.Span("handler", "render")
-		resp := buildBatchResponse(class, groups, results)
-		endRender()
-		return resp, nil
+		defer endRender()
+		return buildBatchResponse(sc, class, ngroups, canon)
 	})
 }
 
-// evaluateBatch runs the canonical tuple list through the model layer:
-// one model resolution per (system, program) group, one vectorised
-// EvaluateParallelInto per group over the shared pooled buffers. The
-// caller already holds an admission slot, so cold characterisations
-// triggered here don't claim a second one.
-func (s *Server) evaluateBatch(r *http.Request, canon []canonTuple, iters map[string]int, engine string, workers int) ([]batchResultJSON, int, error) {
-	cfgsPtr := cfgSlicePool.Get().(*[]machine.Config)
-	ptsPtr := ptsSlicePool.Get().(*[]pareto.Point)
-	defer cfgSlicePool.Put(cfgsPtr)
-	defer ptsSlicePool.Put(ptsPtr)
-	cfgs := (*cfgsPtr)[:0]
+// batchGroup is one (system, program) group of a batch request, resolved
+// during validation: its profile and the class's iteration count.
+type batchGroup struct {
+	key   modelKey
+	prof  *machine.Profile
+	iters int
+}
+
+// findGroup returns the group for key, or nil. A batch spans at most the
+// catalogue's dozen (system, program) pairs, so a scan beats a map.
+func findGroup(groups []batchGroup, key modelKey) *batchGroup {
+	for i := range groups {
+		if groups[i].key == key {
+			return &groups[i]
+		}
+	}
+	return nil
+}
+
+// evaluateBatch runs the canonical tuple list through the model layer
+// into sc.pts: one model resolution per (system, program) group, one
+// vectorised EvaluateParallelInto per group over a contiguous sub-slice
+// of sc.cfgs. It returns the number of groups. The caller already holds
+// an admission slot, so cold characterisations triggered here don't
+// claim a second one.
+func (s *Server) evaluateBatch(r *http.Request, sc *batchScratch, canon []canonTuple, engine string, workers int) (int, error) {
+	cfgs := sc.cfgs[:0]
 	for _, t := range canon {
 		cfgs = append(cfgs, t.cfg)
 	}
-	*cfgsPtr = cfgs // retain any growth for the next request
-	if cap(*ptsPtr) < len(canon) {
-		*ptsPtr = make([]pareto.Point, len(canon))
+	sc.cfgs = cfgs
+	if cap(sc.pts) < len(canon) {
+		sc.pts = make([]pareto.Point, len(canon))
 	}
-	pts := (*ptsPtr)[:len(canon)]
+	pts := sc.pts[:len(canon)]
 
-	groups := 0
-	results := make([]batchResultJSON, len(canon))
+	n := 0
 	for lo := 0; lo < len(canon); {
 		hi := lo + 1
 		for hi < len(canon) && canon[hi].system == canon[lo].system && canon[hi].program == canon[lo].program {
 			hi++
 		}
-		groups++
-		e, err := s.model(r.Context(), modelKey{system: canon[lo].system, program: canon[lo].program}, engine, true)
+		n++
+		key := modelKey{system: canon[lo].system, program: canon[lo].program}
+		e, err := s.model(r.Context(), key, engine, true)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if err := pareto.EvaluateParallelInto(r.Context(), e.model, cfgs[lo:hi],
-			iters[canon[lo].program], workers, pts[lo:hi]); err != nil {
-			return nil, 0, fmt.Errorf("batch %s/%s: %w", canon[lo].system, canon[lo].program, err)
-		}
-		for i := lo; i < hi; i++ {
-			results[i] = batchResultJSON{
-				System:         canon[i].system,
-				Program:        canon[i].program,
-				predictionJSON: toPredictionJSON(pts[i].Pred),
-			}
+			findGroup(sc.groups, key).iters, workers, pts[lo:hi]); err != nil {
+			return 0, fmt.Errorf("batch %s/%s: %w", key.system, key.program, err)
 		}
 		lo = hi
 	}
-	return results, groups, nil
+	return n, nil
 }
 
-// buildBatchResponse renders both wire shapes of a batch answer from one
-// result list: the canonical JSON document and the NDJSON lines (one
-// result per line, then a summary). Each result is marshalled exactly
-// once and the fragment is spliced into both shapes — JSON encoding (and
-// its float formatting) dominates the warm-batch profile, so rendering
-// the results twice would nearly double the per-tuple serving cost.
-func buildBatchResponse(class string, groups int, results []batchResultJSON) *cachedResponse {
-	sum := mustJSON(struct {
-		Class  string `json:"class"`
-		Count  int    `json:"count"`
-		Groups int    `json:"groups"`
-	}{class, len(results), groups})
-	resp := spliceResponse(sum, "results", "result", marshalEach(results))
+// buildBatchResponse renders a batch answer — the summary, then one
+// result per canonical tuple — straight from the evaluated points into
+// one document buffer. Each result is byte-identical to
+// json.Marshal(batchResultJSON); FuzzAppendBatchResult pins that.
+func buildBatchResponse(sc *batchScratch, class string, groups int, canon []canonTuple) (*cachedResponse, error) {
+	b := append(sc.doc[:0], `{"class":"`...)
+	b = append(b, class...)
+	b = append(b, `","count":`...)
+	b = strconv.AppendInt(b, int64(len(canon)), 10)
+	b = append(b, `,"groups":`...)
+	b = strconv.AppendInt(b, int64(groups), 10)
 	var simS, energyJ float64
-	for i := range results {
-		simS += results[i].TimeS
-		energyJ += results[i].EnergyJ
+	bad := -1
+	resp := spliceItems(b, "results", "result", len(canon), func(b []byte, i int) []byte {
+		pj := toPredictionJSON(sc.pts[i].Pred)
+		if bad < 0 && !finitePrediction(pj) {
+			bad = i
+		}
+		// Attribution sums the results in canonical order, so a client
+		// summing the body it received reproduces the header values
+		// float-exactly.
+		simS += pj.TimeS
+		energyJ += pj.EnergyJ
+		return appendBatchResult(b, canon[i].system, canon[i].program, pj)
+	})
+	if cap(resp.body) <= maxCacheEntryBytes {
+		sc.doc = resp.body[:0] // keep the growth for the next answer
 	}
-	// Attribution sums the results in canonical order, so a client summing
-	// the body it received reproduces the header values float-exactly.
-	resp.attr = makeAttribution(len(results), simS, energyJ)
-	return resp
+	if bad >= 0 {
+		t := canon[bad]
+		return nil, fmt.Errorf("batch %s/%s %v: non-finite prediction", t.system, t.program, t.cfg)
+	}
+	resp.body = bytes.Clone(resp.body) // exactly sized: the cache may hold it for minutes
+	resp.attr = makeAttribution(len(canon), simS, energyJ)
+	return resp, nil
+}
+
+// finitePrediction reports whether every float of p can be rendered as
+// JSON.
+func finitePrediction(p predictionJSON) bool {
+	for _, f := range [...]float64{p.Config.FreqGHz, p.TimeS, p.EnergyJ, p.PowerW, p.UCR} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendBatchResult appends one batch result exactly as
+// json.Marshal(batchResultJSON{system, program, p}) renders it. The names
+// are written unescaped: they are validated catalogue names, none of
+// which needs escaping (TestCatalogueNamesNeedNoEscaping).
+func appendBatchResult(b []byte, system, program string, p predictionJSON) []byte {
+	b = append(b, `{"system":"`...)
+	b = append(b, system...)
+	b = append(b, `","program":"`...)
+	b = append(b, program...)
+	b = append(b, `","config":{"nodes":`...)
+	b = strconv.AppendInt(b, int64(p.Config.Nodes), 10)
+	b = append(b, `,"cores":`...)
+	b = strconv.AppendInt(b, int64(p.Config.Cores), 10)
+	b = append(b, `,"freq_ghz":`...)
+	b = appendFloat(b, p.Config.FreqGHz)
+	b = append(b, `},"time_s":`...)
+	b = appendFloat(b, p.TimeS)
+	b = append(b, `,"energy_j":`...)
+	b = appendFloat(b, p.EnergyJ)
+	b = append(b, `,"power_w":`...)
+	b = appendFloat(b, p.PowerW)
+	b = append(b, `,"ucr":`...)
+	b = appendFloat(b, p.UCR)
+	return append(b, '}')
 }
 
 // marshalEach renders one JSON fragment per element.
@@ -306,45 +372,38 @@ func marshalEach[T any](items []T) [][]byte {
 	return frags
 }
 
-// spliceResponse assembles both wire shapes from a marshalled summary
-// object and per-item fragments: the document is the summary with an
-// appended `"<listKey>":[...]` array, each NDJSON line wraps one fragment
-// as `{"type":"<itemKey>","<itemKey>":...}`, and the trailing summary line
-// re-tags the same summary bytes. Splicing — rather than re-marshalling —
-// is what makes the streamed and document forms byte-identical per item.
+// spliceResponse assembles an answer document from a marshalled summary
+// object and per-item fragments: the summary with an appended
+// `"<listKey>":[...]` array of the fragments.
 func spliceResponse(sum []byte, listKey, itemKey string, frags [][]byte) *cachedResponse {
-	n := 0
+	n := len(sum) + len(listKey) + 8
 	for _, f := range frags {
 		n += len(f) + 1
 	}
-	body := make([]byte, 0, len(sum)+len(listKey)+n+16)
-	body = append(body, sum[:len(sum)-1]...) // summary object sans closing brace
-	body = append(body, `,"`...)
-	body = append(body, listKey...)
-	body = append(body, `":[`...)
-	for i, f := range frags {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, f...)
-	}
-	body = append(body, ']', '}', '\n')
+	b := make([]byte, 0, n)
+	b = append(b, sum[:len(sum)-1]...) // summary object sans closing brace
+	return spliceItems(b, listKey, itemKey, len(frags), func(b []byte, i int) []byte {
+		return append(b, frags[i]...)
+	})
+}
 
-	lines := make([][]byte, 0, len(frags)+1)
-	for _, f := range frags {
-		line := make([]byte, 0, len(itemKey)*2+len(f)+16)
-		line = append(line, `{"type":"`...)
-		line = append(line, itemKey...)
-		line = append(line, `","`...)
-		line = append(line, itemKey...)
-		line = append(line, `":`...)
-		line = append(line, f...)
-		line = append(line, '}')
-		lines = append(lines, line)
+// spliceItems completes a document whose summary object — without its
+// closing brace — is already in b: it appends `,"<listKey>":[` and n
+// items rendered by item, closes the document, and records the offsets
+// the NDJSON form is derived from (see cachedResponse).
+func spliceItems(b []byte, listKey, itemKey string, n int, item func(b []byte, i int) []byte) *cachedResponse {
+	resp := &cachedResponse{item: itemKey, sumEnd: len(b), starts: make([]int32, n+1)}
+	b = append(b, `,"`...)
+	b = append(b, listKey...)
+	b = append(b, `":[`...)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		resp.starts[i] = int32(len(b))
+		b = item(b, i)
 	}
-	sumLine := make([]byte, 0, len(sum)+20)
-	sumLine = append(sumLine, `{"type":"summary",`...)
-	sumLine = append(sumLine, sum[1:]...) // summary fields sans opening brace
-	lines = append(lines, sumLine)
-	return &cachedResponse{body: body, lines: lines}
+	resp.starts[n] = int32(len(b) + 1) // one past the closing bracket
+	resp.body = append(b, ']', '}', '\n')
+	return resp
 }

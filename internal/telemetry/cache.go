@@ -19,15 +19,19 @@ var errFlightAborted = errors.New("collapsed request aborted before completing; 
 // size-bounded cache.
 const maxCacheEntryBytes = 4 << 20
 
-// cachedResponse is one fully rendered answer, stored in both wire
-// shapes: the canonical JSON document and the NDJSON line sequence the
-// streaming path writes. Both are rendered from the same structs at
-// compute time, which is what makes the streamed and non-streamed forms
-// of one request semantically identical by construction — and a cache hit
-// byte-identical to the compute that filled it.
+// cachedResponse is one fully rendered answer, stored once: the
+// canonical JSON document — the summary's fields, then an array of item
+// fragments — plus the offsets of those fragments. The NDJSON form, one
+// `{"type":"<item>","<item>":<fragment>}` line per item and then
+// `{"type":"summary",<summary fields>}`, is derived from the document as
+// it is written (appendLine). So the streamed and document forms of one
+// answer carry the same bytes per item by construction, a cache hit
+// replays exactly what its compute rendered, and no answer is held twice.
 type cachedResponse struct {
-	body  []byte   // full JSON document, trailing newline included
-	lines [][]byte // NDJSON lines (no newlines): data lines, then one summary line
+	body   []byte  // full JSON document, trailing newline included
+	item   string  // NDJSON type tag of one list item
+	sumEnd int     // body[1:sumEnd] is the summary's fields
+	starts []int32 // item i is body[starts[i] : starts[i+1]-1]; len(starts) = items+1
 
 	// attr is the response's cost attribution, computed (and its header
 	// strings formatted) once at build time so cache hits replay it
@@ -35,12 +39,26 @@ type cachedResponse struct {
 	attr attribution
 }
 
-func (c *cachedResponse) size() int {
-	n := len(c.body)
-	for _, l := range c.lines {
-		n += len(l)
+func (c *cachedResponse) size() int { return len(c.body) + 4*len(c.starts) }
+
+// lineCount is the number of NDJSON lines the answer streams as: one per
+// item, then the summary.
+func (c *cachedResponse) lineCount() int { return len(c.starts) }
+
+// appendLine appends NDJSON line i, without its newline.
+func (c *cachedResponse) appendLine(b []byte, i int) []byte {
+	if i == len(c.starts)-1 {
+		b = append(b, `{"type":"summary",`...)
+		b = append(b, c.body[1:c.sumEnd]...)
+		return append(b, '}')
 	}
-	return n
+	b = append(b, `{"type":"`...)
+	b = append(b, c.item...)
+	b = append(b, `","`...)
+	b = append(b, c.item...)
+	b = append(b, `":`...)
+	b = append(b, c.body[c.starts[i]:c.starts[i+1]-1]...)
+	return append(b, '}')
 }
 
 // cacheCounters are the exported hybridperf_response_cache_* series the

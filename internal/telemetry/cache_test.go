@@ -23,7 +23,7 @@ func newTestCache(capacity int, ttl time.Duration) *responseCache {
 }
 
 func resp(s string) *cachedResponse {
-	return &cachedResponse{body: []byte(s), lines: [][]byte{[]byte(s)}}
+	return &cachedResponse{body: []byte(s)}
 }
 
 func mustDo(t *testing.T, c *responseCache, key, val string) (*cachedResponse, cacheStatus) {

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,20 +60,21 @@ type canonTuple struct {
 	cfg             machine.Config
 }
 
-func (t canonTuple) less(u canonTuple) bool {
-	if t.system != u.system {
-		return t.system < u.system
+// compare orders tuples by (system, program, nodes, cores, freq).
+func (t canonTuple) compare(u canonTuple) int {
+	if c := strings.Compare(t.system, u.system); c != 0 {
+		return c
 	}
-	if t.program != u.program {
-		return t.program < u.program
+	if c := strings.Compare(t.program, u.program); c != 0 {
+		return c
 	}
-	if t.cfg.Nodes != u.cfg.Nodes {
-		return t.cfg.Nodes < u.cfg.Nodes
+	if c := cmp.Compare(t.cfg.Nodes, u.cfg.Nodes); c != 0 {
+		return c
 	}
-	if t.cfg.Cores != u.cfg.Cores {
-		return t.cfg.Cores < u.cfg.Cores
+	if c := cmp.Compare(t.cfg.Cores, u.cfg.Cores); c != 0 {
+		return c
 	}
-	return t.cfg.Freq < u.cfg.Freq
+	return cmp.Compare(t.cfg.Freq, u.cfg.Freq)
 }
 
 // canonicalizeTuples sorts tuples by (system, program, nodes, cores,
@@ -81,7 +83,7 @@ func (t canonTuple) less(u canonTuple) bool {
 // which is what makes byte-level response caching sound for bodies that
 // list the same tuples shuffled or repeated.
 func canonicalizeTuples(tuples []canonTuple) []canonTuple {
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].less(tuples[j]) })
+	slices.SortFunc(tuples, canonTuple.compare)
 	out := tuples[:0]
 	for i, t := range tuples {
 		if i > 0 && t == tuples[i-1] {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -475,6 +474,9 @@ var errSaturated = errors.New("admission slots saturated")
 // campaign all observe its error; the first request after eviction
 // retries fresh.
 func (s *Server) model(ctx context.Context, key modelKey, engine string, admitted bool) (*modelEntry, error) {
+	if e := s.readyModel(key); e != nil {
+		return e, nil // the warm path: no catalogue lookups
+	}
 	prof, err := machine.ByName(key.system)
 	if err != nil {
 		return nil, err
@@ -582,6 +584,30 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 	return e, nil
 }
 
+// readyModel returns the characterised model for key, or nil while there
+// is none.
+func (s *Server) readyModel(key modelKey) *modelEntry {
+	s.mu.Lock()
+	e := s.models[key]
+	s.mu.Unlock()
+	if e != nil && e.ready.Load() {
+		return e
+	}
+	return nil
+}
+
+// catalogue returns the profile and program spec key names, nil for an
+// unknown name. A ready model already holds both; machine.ByName and
+// workload.ByName rebuild their whole catalogue on every call.
+func (s *Server) catalogue(key modelKey) (*machine.Profile, *workload.Spec) {
+	if e := s.readyModel(key); e != nil {
+		return e.prof, e.spec
+	}
+	prof, _ := machine.ByName(key.system)
+	spec, _ := workload.ByName(key.program)
+	return prof, spec
+}
+
 // acquire claims one admission slot, returning an idempotent release.
 // ok is false when the semaphore is saturated; the caller sheds the
 // request with reject.
@@ -647,43 +673,21 @@ func toPredictionJSON(p core.Prediction) predictionJSON {
 	}
 }
 
-// decodeJSON reads a bounded JSON body into v. Malformed bodies fail
-// loudly and precisely: an oversized body is 413 (not a misleading
-// "invalid JSON" 400), an unknown field is rejected instead of silently
-// defaulting a typo'd knob, and trailing data after the first JSON value
-// is an error rather than ignored.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeJSONMax(w, r, v, 1<<20)
-}
-
-// decodeJSONMax is decodeJSON with a per-route body cap (/v1/batch
-// accepts larger bodies than the point endpoints).
-func decodeJSONMax(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return false
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		httpError(w, http.StatusBadRequest,
-			"invalid JSON body: trailing data after the request object")
-		return false
-	}
-	return true
-}
-
-// readBodyMax reads the whole request body under a size cap, for
-// handlers that need the raw bytes (the batch body memo) before
-// decoding. The over-limit response matches decodeJSONMax's.
+// readBodyMax reads the whole request body under a size cap; handlers
+// decode the bytes and keep them for forwarding (and, on /v1/batch, the
+// body memo). An oversized body is 413, not a misleading "invalid JSON"
+// 400. A declared Content-Length within the cap sizes the buffer up
+// front, but never past maxBodyPresize: a client that declares megabytes
+// and sends nothing holds no more than that, and a larger body grows the
+// buffer only as its bytes arrive. The body is read to its end either
+// way, so a body shorter or longer than declared, or a chunked one,
+// reads exactly as it would through io.ReadAll.
 func readBodyMax(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	size := 512 // io.ReadAll's initial buffer
+	if cl := r.ContentLength; cl >= 0 && cl <= limit {
+		size = int(min(cl, maxBodyPresize)) + 1 // room to observe EOF without growing
+	}
+	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), make([]byte, 0, size))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -697,22 +701,26 @@ func readBodyMax(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, b
 	return body, true
 }
 
-// decodeJSONBytes is decodeJSONMax over an already-read body, with the
-// same strictness (unknown fields and trailing data rejected) and the
-// same error shapes.
-func decodeJSONBytes(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return false
+// maxBodyPresize bounds the buffer readBodyMax allocates on the strength
+// of a declared Content-Length alone. It covers a several-hundred-tuple
+// batch body in one allocation.
+const maxBodyPresize = 64 << 10
+
+// readAll is io.ReadAll appending into b.
+func readAll(rd io.Reader, b []byte) ([]byte, error) {
+	for {
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
 	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		httpError(w, http.StatusBadRequest,
-			"invalid JSON body: trailing data after the request object")
-		return false
-	}
-	return true
 }
 
 // resolve validates the model coordinates shared by predict and sweep and
@@ -796,7 +804,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if !decodeJSONBytes(w, body, &req) {
+	if err := decodePredictRequest(body, &req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if rt != nil {
@@ -877,7 +886,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sweepRequest
-	if !decodeJSONBytes(w, body, &req) {
+	if err := decodeSweepRequest(body, &req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if rt != nil {

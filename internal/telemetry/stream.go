@@ -50,12 +50,12 @@ func (s *Server) cachedDo(ctx context.Context, key string, compute func() (*cach
 }
 
 // writeCached serves a computed or cached response in the shape the
-// client asked for: the canonical JSON document, or its NDJSON line
-// sequence with periodic flushes (and an early stop once the client is
-// gone). The cache status is surfaced as X-Response-Cache and annotated
-// onto the access-log line, and the response's stored cost attribution is
-// stamped on — identically whether the body was just computed or replayed
-// from the cache.
+// client asked for: the canonical JSON document, or the NDJSON line
+// sequence derived from it with periodic flushes (and an early stop once
+// the client is gone). The cache status is surfaced as X-Response-Cache
+// and annotated onto the access-log line, and the response's stored cost
+// attribution is stamped on — identically whether the body was just
+// computed or replayed from the cache.
 func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, route, engine string, resp *cachedResponse, status cacheStatus) {
 	annotate(r.Context(), slog.String("cache", string(status)))
 	w.Header().Set("X-Response-Cache", string(status))
@@ -68,14 +68,15 @@ func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, route, engi
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	done := r.Context().Done()
-	for i, line := range resp.lines {
+	var line []byte
+	for i := 0; i < resp.lineCount(); i++ {
 		select {
 		case <-done:
 			return // client gone: shed the rest of the stream
 		default:
 		}
+		line = append(resp.appendLine(line[:0], i), '\n')
 		w.Write(line)
-		w.Write([]byte{'\n'})
 		if flusher != nil && (i+1)%streamFlushEvery == 0 {
 			flusher.Flush()
 		}
