@@ -44,7 +44,8 @@
 // Observability surface: GET /metrics (Prometheus text exposition of
 // request counters/latency histograms plus the simulation engine's own
 // counters), GET /healthz, GET /readyz, GET /debug/trace?duration=1s
-// (Chrome-trace JSON of the server's recent spans) and /debug/pprof/.
+// (Chrome-trace JSON of the span trees of every request in the window)
+// and /debug/pprof/.
 // Every request logs one structured line (log/slog) with a request id,
 // route, status, duration and model coordinates.
 //
@@ -84,7 +85,6 @@ func main() {
 		logFmt   = flag.String("log", "text", "request log format: text or json")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		preload  = flag.String("preload", "", "comma-separated system/program pairs to characterise before serving, e.g. xeon/SP,arm/CP")
-		spanCap  = flag.Int("span-capacity", 0, "span flight-recorder capacity (0 = 4096)")
 		maxCamp  = flag.Int("max-campaigns", 0, "max concurrent characterisation/sweep campaigns; excess requests get 429 (0 = 4)")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline cancelling in-flight work, e.g. 30s (0 = none)")
 		defEng   = flag.String("default-engine", "", "simulation engine for requests without an \"engine\" field: sequential or goroutine (default $HYBRIDPERF_ENGINE, then sequential)")
@@ -138,7 +138,6 @@ func main() {
 		Workers:           *workers,
 		Seed:              *seed,
 		Logger:            logger,
-		SpanCapacity:      *spanCap,
 		MaxCampaigns:      *maxCamp,
 		RequestTimeout:    *reqTO,
 		DefaultEngine:     *defEng,

@@ -8,7 +8,6 @@ package characterize
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/exec"
@@ -48,11 +47,6 @@ type Options struct {
 	// aggregate still requires Metrics, since per-run deltas on a shared
 	// engine overlap under concurrency.
 	SharedMetrics *metrics.Engine
-	// Observe, when non-nil, receives a wall-clock span for every
-	// simulation of the campaign plus one for each campaign stage
-	// ("baseline sweep", "mpiP run") — the hook external span recorders
-	// attach to. Purely observational.
-	Observe func(label string, start, end time.Time)
 	// PhaseTrace, when non-nil, receives the per-rank phase timeline of
 	// the campaign's designated profiling run — the mpiP run when the
 	// program communicates, the first baseline execution otherwise —
@@ -171,7 +165,6 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 				Ctx:           opts.Ctx,
 				Metrics:       opts.Metrics,
 				SharedMetrics: opts.SharedMetrics,
-				Observe:       opts.Observe,
 			})
 		}
 	}
@@ -180,14 +173,9 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 	if opts.PhaseTrace != nil && spec.MsgsPerIter(opts.ProfileNodes) == 0 && len(reqs) > 0 {
 		reqs[0].PhaseSink = opts.PhaseTrace
 	}
-	sweepStart := time.Now()
 	results, err := exec.Sweep(reqs, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("characterize: baseline: %w", err)
-	}
-	if opts.Observe != nil {
-		opts.Observe(fmt.Sprintf("baseline sweep %s/%s (%d cfgs)", prof.Name, spec.Name, len(reqs)),
-			sweepStart, time.Now())
 	}
 	// Summary aggregation only for the per-run (non-shared) engines: with
 	// a shared engine, concurrent per-run deltas overlap and double-count.
@@ -227,7 +215,6 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 			Ctx:           opts.Ctx,
 			Metrics:       opts.Metrics,
 			SharedMetrics: opts.SharedMetrics,
-			Observe:       opts.Observe,
 			PhaseSink:     opts.PhaseTrace,
 		})
 		if err != nil {

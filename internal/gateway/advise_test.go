@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/telemetry"
 )
 
@@ -86,7 +87,7 @@ func TestRetryAfterPropagatedFromShard(t *testing.T) {
 			if retryAfter != "" {
 				w.Header().Set("Retry-After", retryAfter)
 			}
-			httpError(w, status, "saturated: shed by the stub shard")
+			api.Error(w, status, "saturated: shed by the stub shard")
 		}
 	}
 	batchBody := `{"tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}]}`

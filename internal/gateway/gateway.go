@@ -4,10 +4,13 @@
 // their (system, program) key on the same consistent-hash ring the
 // replicas use, splits /v1/batch bodies into one sub-batch per owning
 // shard, and partitions a /v1/sweep configuration space across every
-// shard so the full-space evaluation parallelises over the cluster. Shard answers are merged back in the
-// replicas' canonical order (and sweep frontiers recomputed with the same
-// pareto code), so a response through the gateway is byte-identical to
-// the same request served by a single daemon.
+// shard so the full-space evaluation parallelises over the cluster. It
+// decodes, validates and renders with the replicas' own wire code
+// (internal/api): a request it rejects gets exactly a replica's answer,
+// and shard answers are merged back in the replicas' canonical order
+// (sweep frontiers recomputed with the same pareto code), so a response
+// through the gateway is byte-identical to the same request served by a
+// single daemon.
 //
 // Degradation is graceful by construction: a dead shard costs the tuples
 // it owned, not the request — the merged answer carries the surviving
@@ -30,12 +33,12 @@ import (
 	"sync"
 	"time"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/cluster"
 	"hybridperf/internal/core"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/pareto"
 	"hybridperf/internal/telemetry"
-	"hybridperf/internal/workload"
 )
 
 // forwardedHeader mirrors the replicas' loop-prevention header. The
@@ -43,15 +46,6 @@ import (
 // ownership (or is deliberately spreading a sweep), so the receiving
 // shard must serve locally instead of adding a second hop.
 const forwardedHeader = "X-Hybridperf-Forwarded"
-
-// maxSweepNodes and the batch limits mirror the replicas' request bounds,
-// so the gateway rejects what every shard would reject — without a
-// round trip.
-const (
-	maxSweepNodes     = 1024
-	maxBatchTuples    = 65536
-	maxBatchBodyBytes = 8 << 20
-)
 
 // Gateway fans requests across a static shard list. Build with New,
 // mount with Handler.
@@ -187,48 +181,23 @@ func (g *Gateway) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 			rt = telemetry.NewRequestTrace(tc)
 			ctx = telemetry.WithRequestTrace(ctx, rt)
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &telemetry.StatusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		if sw.Status == 0 {
+			sw.Status = http.StatusOK
 		}
 		end := time.Now()
 		if rt != nil {
 			rt.AddSpan("http", r.Method+" "+route, start, end)
-			g.traces.Put(rt.Payload("gateway"))
+			g.traces.Put(rt.Payload("gateway"), true)
 		}
-		g.mReq.With(route, strconv.Itoa(sw.status)).Inc()
+		g.mReq.With(route, strconv.Itoa(sw.Status)).Inc()
 		g.log.LogAttrs(ctx, slog.LevelInfo, "request",
 			slog.String("id", id),
 			slog.String("trace", tc.TraceIDString()),
 			slog.String("route", route),
-			slog.Int("status", sw.status),
+			slog.Int("status", sw.Status),
 			slog.Duration("duration", end.Sub(start)))
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
 	}
 }
 
@@ -270,17 +239,9 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 	}
-	type peerStatus struct {
-		Peer string `json:"peer"`
-		Up   bool   `json:"up"`
-	}
-	doc := struct {
-		Ready bool         `json:"ready"`
-		Up    int          `json:"up"`
-		Peers []peerStatus `json:"peers"`
-	}{Ready: up > 0, Up: up, Peers: make([]peerStatus, len(g.peers))}
+	doc := api.Ready{Ready: up > 0, Up: up, Peers: make([]api.PeerStatus, len(g.peers))}
 	for i, p := range g.peers {
-		doc.Peers[i] = peerStatus{Peer: p, Up: okByPeer[i]}
+		doc.Peers[i] = api.PeerStatus{Peer: p, Up: okByPeer[i]}
 		var v int64
 		if okByPeer[i] {
 			v = 1
@@ -292,110 +253,6 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(doc)
-}
-
-// ---------------------------------------------------------------------
-// Wire mirrors of the replicas' request/response shapes. These must stay
-// field-for-field identical to internal/telemetry's (tags and order), so
-// gateway-built responses are byte-compatible with shard-built ones.
-
-type configJSON struct {
-	Nodes   int     `json:"nodes"`
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
-
-type predictionJSON struct {
-	Config  configJSON `json:"config"`
-	TimeS   float64    `json:"time_s"`
-	EnergyJ float64    `json:"energy_j"`
-	PowerW  float64    `json:"power_w"`
-	UCR     float64    `json:"ucr"`
-}
-
-type batchTuple struct {
-	System  string  `json:"system"`
-	Program string  `json:"program"`
-	Nodes   int     `json:"nodes"`
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
-
-type batchRequest struct {
-	Class   string       `json:"class"`
-	Engine  string       `json:"engine"`
-	Workers int          `json:"workers"`
-	Tuples  []batchTuple `json:"tuples"`
-}
-
-type sweepRequest struct {
-	System    string  `json:"system"`
-	Program   string  `json:"program"`
-	Class     string  `json:"class"`
-	MaxNodes  int     `json:"max_nodes"`
-	Pow2      bool    `json:"pow2"`
-	Workers   int     `json:"workers"`
-	DeadlineS float64 `json:"deadline_s"`
-	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"`
-}
-
-// shardError annotates one failed sub-request on a partial answer.
-type shardError struct {
-	Shard  string `json:"shard"`
-	Error  string `json:"error"`
-	Tuples int    `json:"tuples,omitempty"`
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error":  fmt.Sprintf(format, args...),
-		"status": status,
-	})
-}
-
-// decodeStrict mirrors the replicas' body handling: bounded, unknown
-// fields rejected, trailing data rejected.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return false
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return false
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: trailing data after the request object")
-		return false
-	}
-	return true
-}
-
-func wantStream(r *http.Request) bool {
-	switch r.URL.Query().Get("stream") {
-	case "1", "true":
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("gateway: marshalling response fragment: %v", err))
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------
@@ -459,12 +316,10 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 	}
 	if resp.StatusCode/100 != 2 {
 		g.mFanErr.With(peer).Inc()
-		var envelope struct {
-			Error string `json:"error"`
-		}
+		var envelope api.ErrorBody
 		json.Unmarshal(out, &envelope)
 		// The body rides along so a caller can relay the shard's own error
-		// envelope verbatim (handlePredict does).
+		// envelope verbatim (relay does).
 		return out, resp.Header, &shardStatusError{
 			peer: peer, status: resp.StatusCode, message: envelope.Error,
 			retryAfter: resp.Header.Get("Retry-After"),
@@ -473,39 +328,74 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 	return out, resp.Header, nil
 }
 
-// handlePredict proxies a point request to the owner of its model key,
-// falling through the ring-walk order when the owner is down — any
-// replica serves any key bit-identically, so failover costs at most a
-// campaign on the fallback shard.
+// handlePredict proxies a point request to the owner of its model key
+// (see relay); its cost is the one prediction the answer carries.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		System  string  `json:"system"`
-		Program string  `json:"program"`
-		Class   string  `json:"class"`
-		Nodes   int     `json:"nodes"`
-		Cores   int     `json:"cores"`
-		FreqGHz float64 `json:"freq_ghz"`
-		Engine  string  `json:"engine"`
-	}
-	body := new(bytes.Buffer)
-	tee := io.TeeReader(http.MaxBytesReader(w, r.Body, 1<<20), body)
-	if err := json.NewDecoder(tee).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	io.Copy(io.Discard, tee) // finish teeing the raw body
+	var req api.PredictRequest
+	if err := api.DecodePredict(body, &req); err != nil {
+		api.BadBody(w, err)
+		return
+	}
+	g.relay(w, r, "/v1/predict", req.System, req.Program, req.Engine, body,
+		func(out []byte, _ http.Header) (api.Cost, bool) {
+			var pred api.PredictResponse
+			err := json.Unmarshal(out, &pred)
+			return api.Cost{Predictions: 1, SimSeconds: pred.TimeS, EnergyJ: pred.EnergyJ}, err == nil
+		})
+}
+
+// handleAdvise proxies an advisory request to the owner of its model key
+// (see relay), document or NDJSON stream. Its cost — the simulations it
+// ran, which the body does not list — comes from the shard's
+// attribution headers.
+func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	var req api.AdviseRequest
+	if err := api.DecodeAdvise(body, &req); err != nil {
+		api.BadBody(w, err)
+		return
+	}
+	g.relay(w, r, "/v1/advise", req.System, req.Program, req.Engine, body,
+		func(_ []byte, hdr http.Header) (api.Cost, bool) {
+			preds, err := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader))
+			simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
+			energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
+			return api.Cost{Predictions: preds, SimSeconds: simS, EnergyJ: energyJ}, err == nil
+		})
+}
+
+// relay proxies a decoded point request's body to the owner of its
+// model key, falling through the ring-walk order when the owner is down
+// — any replica serves any key bit-identically, so failover costs at
+// most a campaign on the fallback shard. The answer is relayed verbatim,
+// so it is byte-identical to the owning shard's; its cost, read by cost,
+// is stamped on and aggregated into the gateway's per-route series.
+func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, route, system, program, engine string, body []byte,
+	cost func(out []byte, hdr http.Header) (api.Cost, bool)) {
+	if err := api.CheckEngine(engine); err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	stream := api.WantStream(r)
 	var errs []string
-	for _, peer := range g.ring.Order(cluster.ModelKey(req.System, req.Program)) {
-		out, _, err := g.post(r, peer, "/v1/predict", body.Bytes(), false)
+	for _, peer := range g.ring.Order(cluster.ModelKey(system, program)) {
+		out, hdr, err := g.post(r, peer, route, body, stream)
 		if err == nil {
-			var pred struct {
-				TimeS   float64 `json:"time_s"`
-				EnergyJ float64 `json:"energy_j"`
+			if c, ok := cost(out, hdr); ok {
+				g.applyAttribution(w, route, c)
 			}
-			if json.Unmarshal(out, &pred) == nil {
-				g.applyAttribution(w, "/v1/predict", 1, pred.TimeS, pred.EnergyJ)
+			ct := hdr.Get("Content-Type")
+			if ct == "" {
+				ct = "application/json"
 			}
-			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Type", ct)
 			w.Write(out)
 			return
 		}
@@ -524,57 +414,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	httpError(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
-}
-
-// handleAdvise proxies an advisory request to the owner of its model key,
-// exactly like handlePredict: the answer is relayed verbatim (document or
-// NDJSON stream), so a response through the gateway is byte-identical to
-// the owning shard's. The shard's cost-attribution headers are re-stamped
-// and aggregated into the gateway's per-route series.
-func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		System  string `json:"system"`
-		Program string `json:"program"`
-	}
-	body := new(bytes.Buffer)
-	tee := io.TeeReader(http.MaxBytesReader(w, r.Body, 1<<20), body)
-	if err := json.NewDecoder(tee).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	io.Copy(io.Discard, tee) // finish teeing the raw body
-	stream := wantStream(r)
-	var errs []string
-	for _, peer := range g.ring.Order(cluster.ModelKey(req.System, req.Program)) {
-		out, hdr, err := g.post(r, peer, "/v1/advise", body.Bytes(), stream)
-		if err == nil {
-			if preds, e := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader)); e == nil {
-				simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
-				energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
-				g.applyAttribution(w, "/v1/advise", preds, simS, energyJ)
-			}
-			ct := hdr.Get("Content-Type")
-			if ct == "" {
-				ct = "application/json"
-			}
-			w.Header().Set("Content-Type", ct)
-			w.Write(out)
-			return
-		}
-		errs = append(errs, err.Error())
-		var httpErr *shardStatusError
-		if errors.As(err, &httpErr) {
-			if httpErr.retryAfter != "" {
-				w.Header().Set("Retry-After", httpErr.retryAfter)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(httpErr.status)
-			w.Write(out)
-			return
-		}
-	}
-	httpError(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
+	api.Error(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
 }
 
 // handleSystems proxies the capability document from the first live
@@ -603,144 +443,66 @@ func (g *Gateway) handleSystems(w http.ResponseWriter, r *http.Request) {
 		w.Write(out)
 		return
 	}
-	httpError(w, http.StatusServiceUnavailable, "no shard reachable")
+	api.Error(w, http.StatusServiceUnavailable, "no shard reachable")
 }
 
 // ---------------------------------------------------------------------
 // /v1/batch fan-out.
 
-// batchShardResponse is the slice of a shard's batch answer the gateway
-// consumes: the result fragments verbatim (bytes preserved for the
-// merge) plus the parsed coordinates needed to order them.
-type batchShardResponse struct {
-	Results []json.RawMessage `json:"results"`
-	Class   string            `json:"class"`
-	Count   int               `json:"count"`
-	Groups  int               `json:"groups"`
-}
-
-// mergedResult pairs one shard-rendered result fragment with its parsed
-// sort key.
-type mergedResult struct {
-	raw     json.RawMessage
-	system  string
-	program string
-	nodes   int
-	cores   int
-	freqGHz float64
-	timeS   float64
-	energyJ float64
-}
-
-func (a mergedResult) less(b mergedResult) bool {
-	if a.system != b.system {
-		return a.system < b.system
-	}
-	if a.program != b.program {
-		return a.program < b.program
-	}
-	if a.nodes != b.nodes {
-		return a.nodes < b.nodes
-	}
-	if a.cores != b.cores {
-		return a.cores < b.cores
-	}
-	return a.freqGHz < b.freqGHz
-}
-
-func parseResults(raw []json.RawMessage) ([]mergedResult, error) {
-	out := make([]mergedResult, len(raw))
-	for i, frag := range raw {
-		var meta struct {
-			System  string `json:"system"`
-			Program string `json:"program"`
-			Config  struct {
-				Nodes   int     `json:"nodes"`
-				Cores   int     `json:"cores"`
-				FreqGHz float64 `json:"freq_ghz"`
-			} `json:"config"`
-			TimeS   float64 `json:"time_s"`
-			EnergyJ float64 `json:"energy_j"`
-		}
-		if err := json.Unmarshal(frag, &meta); err != nil {
-			return nil, fmt.Errorf("result %d: %w", i, err)
-		}
-		out[i] = mergedResult{
-			raw: frag, system: meta.System, program: meta.Program,
-			nodes: meta.Config.Nodes, cores: meta.Config.Cores, freqGHz: meta.Config.FreqGHz,
-			timeS: meta.TimeS, energyJ: meta.EnergyJ,
-		}
-	}
-	return out, nil
-}
-
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decodeStrict(w, r, &req, maxBatchBodyBytes) {
+	body, ok := api.ReadBody(w, r, api.MaxBatchBodyBytes)
+	if !ok {
 		return
 	}
-	if len(req.Tuples) == 0 {
-		httpError(w, http.StatusBadRequest, "batch carries no tuples")
+	var req api.BatchRequest
+	if err := api.DecodeBatch(body, &req); err != nil {
+		api.BadBody(w, err)
 		return
 	}
-	if len(req.Tuples) > maxBatchTuples {
-		httpError(w, http.StatusBadRequest, "batch carries %d tuples, limit %d", len(req.Tuples), maxBatchTuples)
+	if err := api.CheckEngine(req.Engine); err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	class := req.Class
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	// Validate coordinates before fanning out, mirroring the shards'
-	// checks: a garbage tuple fails here with the same 400 a single
-	// daemon would produce, without touching the cluster.
-	for i, t := range req.Tuples {
-		if _, err := machine.ByName(t.System); err != nil {
-			httpError(w, http.StatusBadRequest, "tuple %d: unknown system %q", i, t.System)
-			return
-		}
-		spec, err := workload.ByName(t.Program)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "tuple %d: unknown program %q", i, t.Program)
-			return
-		}
-		if _, err := spec.Iterations(workload.Class(class)); err != nil {
-			httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-			return
-		}
+	// Validate and canonicalise exactly as a shard does: a bad request
+	// fails here with the 400 a shard would answer, without touching the
+	// cluster, and the canonical tuple list is the merge order.
+	_, canon, err := api.CanonBatch(&req, api.Lookup, nil, nil)
+	if err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	// Partition by owning shard: every tuple of one (system, program)
 	// group lands on the replica that owns — and has, or will
 	// characterise and keep — that model.
-	byOwner := map[string][]batchTuple{}
+	byOwner := map[string][]api.BatchTuple{}
 	for _, t := range req.Tuples {
 		owner := g.ring.Owner(cluster.ModelKey(t.System, t.Program))
 		byOwner[owner] = append(byOwner[owner], t)
 	}
 
 	type shardOut struct {
-		peer   string
-		tuples int
-		resp   *batchShardResponse
-		err    error
+		peer    string
+		tuples  int
+		results []api.BatchResult
+		err     error
 	}
 	outs := make([]shardOut, 0, len(byOwner))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for owner, tuples := range byOwner {
 		wg.Add(1)
-		go func(owner string, tuples []batchTuple) {
+		go func(owner string, tuples []api.BatchTuple) {
 			defer wg.Done()
-			sub := mustJSON(batchRequest{Class: req.Class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
+			sub := api.MustJSON(api.BatchRequest{Class: req.Class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
 			out := shardOut{peer: owner, tuples: len(tuples)}
 			raw, _, err := g.post(r, owner, "/v1/batch", sub, false)
 			if err == nil {
-				var parsed batchShardResponse
+				var parsed api.BatchResponse
 				if uerr := json.Unmarshal(raw, &parsed); uerr != nil {
 					err = fmt.Errorf("shard %s: unparseable answer: %w", owner, uerr)
 				} else {
-					out.resp = &parsed
+					out.results = parsed.Results
 				}
 			}
 			out.err = err
@@ -751,65 +513,65 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	var merged []mergedResult
-	var shardErrs []shardError
 	for _, o := range outs {
 		if relayClientError(w, o.err) {
 			return
 		}
 	}
+	// Each shard answers its own tuples in canonical order, so the merge
+	// walks the canonical list and takes each tuple's result from its
+	// owner's answer in turn; an owner whose answer does not hold exactly
+	// its share of the list failed.
+	owners := make([]string, len(canon))
+	share := map[string]int{}
+	for i, t := range canon {
+		if i > 0 && t.System == canon[i-1].System && t.Program == canon[i-1].Program {
+			owners[i] = owners[i-1]
+		} else {
+			owners[i] = g.ring.Owner(cluster.ModelKey(t.System, t.Program))
+		}
+		share[owners[i]]++
+	}
+	results := make(map[string][]api.BatchResult, len(outs))
+	var shardErrs []api.ShardError
+	var failures []error
 	for _, o := range outs {
+		if o.err == nil && len(o.results) != share[o.peer] {
+			o.err = fmt.Errorf("shard %s: %d results for %d tuples", o.peer, len(o.results), share[o.peer])
+		}
 		if o.err != nil {
 			g.log.LogAttrs(r.Context(), slog.LevelWarn, "batch sub-request failed",
 				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: o.err.Error(), Tuples: o.tuples})
+			shardErrs = append(shardErrs, api.ShardError{Shard: o.peer, Error: o.err.Error(), Tuples: o.tuples})
+			failures = append(failures, o.err)
 			continue
 		}
-		res, err := parseResults(o.resp.Results)
-		if err != nil {
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: err.Error(), Tuples: o.tuples})
-			continue
-		}
-		merged = append(merged, res...)
+		results[o.peer] = o.results
 	}
-	if len(merged) == 0 && len(shardErrs) > 0 {
-		var failures []error
-		for _, o := range outs {
-			if o.err != nil {
-				failures = append(failures, o.err)
-			}
-		}
-		w.Header().Set("Retry-After", retryAfterHint(failures))
-		httpError(w, http.StatusServiceUnavailable, "all owning shards failed: %s", joinShardErrors(shardErrs))
-		return
-	}
-	// Canonical order across shards — the exact order one daemon's
-	// canonicalizeTuples would have produced, which is what makes the
-	// merged document byte-identical to a single-instance answer.
-	sort.Slice(merged, func(i, j int) bool { return merged[i].less(merged[j]) })
-	sortShardErrors(shardErrs)
-
+	merged := make([]api.BatchResult, 0, len(canon))
 	groups := 0
-	for i := range merged {
-		if i == 0 || merged[i].system != merged[i-1].system || merged[i].program != merged[i-1].program {
+	for i, t := range canon {
+		res, ok := results[owners[i]]
+		if !ok {
+			continue
+		}
+		if n := len(merged); n == 0 || merged[n-1].System != t.System || merged[n-1].Program != t.Program {
 			groups++
 		}
+		merged = append(merged, res[0])
+		results[owners[i]] = res[1:]
 	}
-	frags := make([][]byte, len(merged))
-	var simS, energyJ float64
-	for i, m := range merged {
-		frags[i] = m.raw
-		simS += m.timeS
-		energyJ += m.energyJ
+	if len(merged) == 0 {
+		w.Header().Set("Retry-After", retryAfterHint(failures))
+		api.Error(w, http.StatusServiceUnavailable, "all owning shards failed: %s", joinShardErrors(shardErrs))
+		return
 	}
-	sum := mustJSON(struct {
-		Class       string       `json:"class"`
-		Count       int          `json:"count"`
-		Groups      int          `json:"groups"`
-		ShardErrors []shardError `json:"shard_errors,omitempty"`
-	}{class, len(merged), groups, shardErrs})
-	g.applyAttribution(w, "/v1/batch", len(merged), simS, energyJ)
-	writeSpliced(w, r, sum, "results", "result", frags)
+	sortShardErrors(shardErrs)
+	doc, cost := api.RenderBatch(nil, api.Class(req.Class), groups, shardErrs, len(merged), func(i int) api.BatchResult {
+		return merged[i]
+	})
+	g.applyAttribution(w, "/v1/batch", cost)
+	doc.Write(w, r)
 }
 
 // relayClientError relays a shard's 4xx answer as this request's answer
@@ -831,14 +593,14 @@ func relayClientError(w http.ResponseWriter, err error) bool {
 		w.Header().Set("Retry-After", ra)
 	}
 	if he.message != "" {
-		httpError(w, he.status, "%s", he.message)
+		api.Error(w, he.status, "%s", he.message)
 	} else {
-		httpError(w, he.status, "%s", he.Error())
+		api.Error(w, he.status, "%s", he.Error())
 	}
 	return true
 }
 
-func joinShardErrors(errs []shardError) string {
+func joinShardErrors(errs []api.ShardError) string {
 	parts := make([]string, len(errs))
 	for i, e := range errs {
 		parts[i] = e.Error
@@ -846,7 +608,7 @@ func joinShardErrors(errs []shardError) string {
 	return strings.Join(parts, "; ")
 }
 
-func sortShardErrors(errs []shardError) {
+func sortShardErrors(errs []api.ShardError) {
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Shard < errs[j].Shard })
 }
 
@@ -865,72 +627,37 @@ func retryAfterHint(errs []error) string {
 // ---------------------------------------------------------------------
 // /v1/sweep fan-out.
 
-// sweepSummary mirrors the replicas' sweep header fields, with the
-// gateway's partial-result annotation appended (absent on full answers,
-// so complete sweeps stay byte-identical to a single daemon's).
-type sweepSummary struct {
-	System      string          `json:"system"`
-	Program     string          `json:"program"`
-	Class       string          `json:"class"`
-	Configs     int             `json:"configs"`
-	Points      int             `json:"frontier_points"`
-	Deadline    *predictionJSON `json:"min_energy_within_deadline,omitempty"`
-	Budget      *predictionJSON `json:"min_time_within_budget,omitempty"`
-	ShardErrors []shardError    `json:"shard_errors,omitempty"`
-}
-
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if !decodeStrict(w, r, &req, 1<<20) {
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	prof, err := machine.ByName(req.System)
+	var req api.SweepRequest
+	if err := api.DecodeSweep(body, &req); err != nil {
+		api.BadBody(w, err)
+		return
+	}
+	if err := api.CheckEngine(req.Engine); err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	sw, err := api.ResolveSweep(&req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown system %q", req.System)
-		return
-	}
-	spec, err := workload.ByName(req.Program)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown program %q", req.Program)
-		return
-	}
-	class := req.Class
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	if _, err := spec.Iterations(workload.Class(class)); err != nil {
-		httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-		return
-	}
-	maxNodes := req.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = prof.MaxNodes
-	}
-	if maxNodes < 1 || maxNodes > maxSweepNodes {
-		httpError(w, http.StatusBadRequest, "max_nodes %d out of range [1,%d]", req.MaxNodes, maxSweepNodes)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	// Enumerate the full configuration space exactly as one daemon would
-	// — pareto.Space's order is the canonical response order — and cut it
-	// into one contiguous chunk per shard. A sweep is a single model key,
-	// so this deliberately ignores ownership: the win is evaluating N
-	// chunks in parallel, at the cost of each shard characterising (once,
+	// — its order is the canonical response order — and cut it into one
+	// contiguous chunk per shard. A sweep is a single model key, so this
+	// deliberately ignores ownership: the win is evaluating N chunks in
+	// parallel, at the cost of each shard characterising (once,
 	// warm-loadable from a shared model store) the swept model.
-	var nodes []int
-	if req.Pow2 {
-		nodes = pareto.PowersOfTwo(maxNodes)
-	} else {
-		nodes = pareto.Range(1, maxNodes)
-	}
-	cfgs := pareto.Space(nodes, prof.CoresPerNode, prof.Frequencies)
-	chunks := chunkConfigs(cfgs, len(g.peers))
+	chunks := chunkConfigs(sw.Space(req.Pow2), len(g.peers))
 
 	type chunkOut struct {
-		idx  int
 		peer string
 		pts  []pareto.Point
-		wire []predictionJSON
 		err  error
 	}
 	outs := make([]chunkOut, len(chunks))
@@ -940,106 +667,70 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(i int, chunk []machine.Config) {
 			defer wg.Done()
 			peer := g.peers[i%len(g.peers)]
-			outs[i] = chunkOut{idx: i, peer: peer}
-			pts, wire, err := g.evalChunk(r, peer, req, class, chunk)
-			outs[i].pts, outs[i].wire, outs[i].err = pts, wire, err
+			pts, err := g.evalChunk(r, peer, req, sw.Class, chunk)
+			outs[i] = chunkOut{peer: peer, pts: pts, err: err}
 		}(i, chunk)
 	}
 	wg.Wait()
 
-	var points []pareto.Point
-	wireByCfg := make(map[machine.Config]predictionJSON, len(cfgs))
-	var shardErrs []shardError
-	evaluated := 0
 	for _, o := range outs {
 		if relayClientError(w, o.err) {
 			return
 		}
 	}
-	for _, o := range outs {
+	var points []pareto.Point
+	var shardErrs []api.ShardError
+	var failures []error
+	for i, o := range outs {
 		if o.err != nil {
 			g.log.LogAttrs(r.Context(), slog.LevelWarn, "sweep chunk failed",
 				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: o.err.Error(), Tuples: len(chunks[o.idx])})
+			shardErrs = append(shardErrs, api.ShardError{Shard: o.peer, Error: o.err.Error(), Tuples: len(chunks[i])})
+			failures = append(failures, o.err)
 			continue
 		}
 		points = append(points, o.pts...)
-		for k, p := range o.pts {
-			wireByCfg[p.Cfg] = o.wire[k]
-		}
-		evaluated += len(o.pts)
 	}
-	if evaluated == 0 && len(shardErrs) > 0 {
-		var failures []error
-		for _, o := range outs {
-			if o.err != nil {
-				failures = append(failures, o.err)
-			}
-		}
+	if len(points) == 0 {
 		w.Header().Set("Retry-After", retryAfterHint(failures))
-		httpError(w, http.StatusServiceUnavailable, "all shards failed: %s", joinShardErrors(shardErrs))
+		api.Error(w, http.StatusServiceUnavailable, "all shards failed: %s", joinShardErrors(shardErrs))
 		return
 	}
 	sortShardErrors(shardErrs)
 
 	// The merge proper: one frontier over every shard's points, computed
-	// by the same pareto code a single daemon runs, over the same values
-	// (floats survive the JSON hop bit-exactly) in the same enumeration
-	// order — so the merged frontier is the frontier.
-	front := pareto.Frontier(points)
-	sum := sweepSummary{
-		System: req.System, Program: req.Program, Class: class,
-		Configs: evaluated, Points: len(front), ShardErrors: shardErrs,
-	}
-	if req.DeadlineS > 0 {
-		if p, ok := pareto.MinEnergyWithinDeadline(points, req.DeadlineS); ok {
-			pj := wireByCfg[p.Cfg]
-			sum.Deadline = &pj
-		}
-	}
-	if req.BudgetJ > 0 {
-		if p, ok := pareto.MinTimeWithinBudget(points, req.BudgetJ); ok {
-			pj := wireByCfg[p.Cfg]
-			sum.Budget = &pj
-		}
-	}
-	frags := make([][]byte, len(front))
-	var simS, energyJ float64
-	for i, p := range front {
-		pj := wireByCfg[p.Cfg]
-		frags[i] = mustJSON(pj)
-		simS += pj.TimeS
-		energyJ += pj.EnergyJ
-	}
-	g.applyAttribution(w, "/v1/sweep", len(front), simS, energyJ)
-	writeSpliced(w, r, mustJSON(sum), "frontier", "point", frags)
+	// and rendered by the same code a single daemon runs, over the same
+	// values (floats survive the JSON hop bit-exactly) in the same
+	// enumeration order — so the merged frontier is the frontier.
+	sum := api.SweepSummary{System: req.System, Program: req.Program, Class: sw.Class,
+		Configs: len(points), ShardErrors: shardErrs}
+	doc, cost := api.RenderSweep(sum, points, pareto.Frontier(points), req.DeadlineS, req.BudgetJ)
+	g.applyAttribution(w, "/v1/sweep", cost)
+	doc.Write(w, r)
 }
 
 // evalChunk evaluates one contiguous slice of the sweep space on one
-// shard via /v1/batch, returning the points (exact catalogue frequencies,
-// wire-parsed objectives) in chunk order plus their wire forms for
-// rendering.
-func (g *Gateway) evalChunk(r *http.Request, peer string, req sweepRequest, class string, chunk []machine.Config) ([]pareto.Point, []predictionJSON, error) {
-	tuples := make([]batchTuple, len(chunk))
+// shard via /v1/batch, returning the points (exact catalogue
+// configurations, wire-parsed objectives) in chunk order.
+func (g *Gateway) evalChunk(r *http.Request, peer string, req api.SweepRequest, class string, chunk []machine.Config) ([]pareto.Point, error) {
+	tuples := make([]api.BatchTuple, len(chunk))
 	for i, cfg := range chunk {
-		tuples[i] = batchTuple{
+		tuples[i] = api.BatchTuple{
 			System: req.System, Program: req.Program,
 			Nodes: cfg.Nodes, Cores: cfg.Cores, FreqGHz: cfg.Freq / 1e9,
 		}
 	}
-	sub := mustJSON(batchRequest{Class: class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
+	sub := api.MustJSON(api.BatchRequest{Class: class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
 	raw, _, err := g.post(r, peer, "/v1/batch", sub, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var parsed struct {
-		Results []predictionJSON `json:"results"`
-	}
+	var parsed api.BatchResponse
 	if err := json.Unmarshal(raw, &parsed); err != nil {
-		return nil, nil, fmt.Errorf("shard %s: unparseable answer: %w", peer, err)
+		return nil, fmt.Errorf("shard %s: unparseable answer: %w", peer, err)
 	}
 	if len(parsed.Results) != len(chunk) {
-		return nil, nil, fmt.Errorf("shard %s: %d results for %d configs", peer, len(parsed.Results), len(chunk))
+		return nil, fmt.Errorf("shard %s: %d results for %d configs", peer, len(parsed.Results), len(chunk))
 	}
 	// A chunk enumerates distinct configs in canonical order, so the
 	// shard's canonical response order is the chunk order: zip by index.
@@ -1050,7 +741,7 @@ func (g *Gateway) evalChunk(r *http.Request, peer string, req sweepRequest, clas
 			Cfg: cfg, T: res.TimeS, E: res.EnergyJ, UCR: res.UCR,
 		}}
 	}
-	return pts, parsed.Results, nil
+	return pts, nil
 }
 
 // chunkConfigs cuts cfgs into up to n contiguous, near-equal chunks
@@ -1070,42 +761,4 @@ func chunkConfigs(cfgs []machine.Config, n int) [][]machine.Config {
 		}
 	}
 	return chunks
-}
-
-// ---------------------------------------------------------------------
-// Response rendering — the same splice shapes the replicas produce.
-
-// writeSpliced writes the merged answer as the canonical JSON document
-// or, when the client asked, as NDJSON lines (one item per line, summary
-// last) — mirroring the replicas' spliceResponse shapes byte-for-byte.
-func writeSpliced(w http.ResponseWriter, r *http.Request, sum []byte, listKey, itemKey string, frags [][]byte) {
-	if !wantStream(r) {
-		w.Header().Set("Content-Type", "application/json")
-		var body bytes.Buffer
-		body.Write(sum[:len(sum)-1])
-		body.WriteString(`,"` + listKey + `":[`)
-		for i, f := range frags {
-			if i > 0 {
-				body.WriteByte(',')
-			}
-			body.Write(f)
-		}
-		body.WriteString("]}\n")
-		w.Write(body.Bytes())
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for i, f := range frags {
-		fmt.Fprintf(w, `{"type":%q,%q:%s}`+"\n", itemKey, itemKey, f)
-		if flusher != nil && (i+1)%32 == 0 {
-			flusher.Flush()
-		}
-	}
-	w.Write([]byte(`{"type":"summary",`))
-	w.Write(sum[1:])
-	w.Write([]byte{'\n'})
-	if flusher != nil {
-		flusher.Flush()
-	}
 }

@@ -285,12 +285,16 @@ func TestPredictFailsOver(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsBadRequests: request validation mirrors the shards,
-// without a cluster round trip — and a shard-detected 4xx (invalid
-// config, which the gateway does not pre-validate) relays as a 4xx, not
-// as a degraded partial answer.
+// TestGatewayRejectsBadRequests: the gateway rejects exactly what a
+// shard rejects, with the same status and the same body bytes — decoding,
+// validation and the error envelope are one shared code path. Most cases
+// fail at the gateway without a cluster round trip; a shard-detected 4xx
+// (an invalid configuration on a point route) relays verbatim, and on
+// /v1/batch as a 4xx, not as a degraded partial answer.
 func TestGatewayRejectsBadRequests(t *testing.T) {
 	_, gts, _ := newCluster(t, 2)
+	_, shard := newShard(t)
+	huge := `{"system":"` + strings.Repeat("a", 1<<20) + `"}`
 	cases := []struct {
 		name, url, body string
 		want            int
@@ -303,12 +307,33 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 		{"sweep unknown system", "/v1/sweep", `{"system":"cray","program":"SP"}`, 400},
 		{"sweep bad class", "/v1/sweep", `{"system":"xeon","program":"SP","class":"Z"}`, 400},
 		{"sweep huge", "/v1/sweep", `{"system":"xeon","program":"SP","max_nodes":99999}`, 400},
+		{"batch repeated key", "/v1/batch", `{"tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}],"tuples":[{"system":"arm","program":"SP","nodes":1,"cores":1}]}`, 400},
+		{"batch repeated tuple key", "/v1/batch", `{"tuples":[{"system":"xeon","system":"arm","program":"SP","nodes":1,"cores":1}]}`, 400},
+		{"sweep repeated key", "/v1/sweep", `{"system":"xeon","program":"SP","class":"S","class":"A"}`, 400},
+		{"predict repeated key", "/v1/predict", `{"system":"xeon","program":"SP","nodes":1,"cores":1,"cores":2}`, 400},
+		{"advise repeated key", "/v1/advise", `{"system":"xeon","program":"SP","policies":["fixed"],"policies":["slack"]}`, 400},
+		{"predict unknown field", "/v1/predict", `{"system":"xeon","program":"SP","node":1}`, 400},
+		{"advise unknown field", "/v1/advise", `{"system":"xeon","program":"SP","policy":"fixed"}`, 400},
+		{"batch trailing data", "/v1/batch", `{"tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}]} {}`, 400},
+		{"predict trailing data", "/v1/predict", `{"system":"xeon","program":"SP","nodes":1,"cores":1}x`, 400},
+		{"batch bad class", "/v1/batch", `{"class":"Z","tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}]}`, 400},
+		{"batch bad engine", "/v1/batch", `{"engine":"warp","tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}]}`, 400},
+		{"predict invalid config relayed", "/v1/predict", `{"system":"xeon","program":"SP","class":"S","nodes":1,"cores":99,"freq_ghz":1.8}`, 400},
+		{"sweep oversized body", "/v1/sweep", huge, 413},
+		{"advise oversized body", "/v1/advise", huge, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, raw := post(t, gts.URL+tc.url, tc.body, nil)
+			resp, viaGateway := post(t, gts.URL+tc.url, tc.body, nil)
 			if resp.StatusCode != tc.want {
-				t.Errorf("status %d, want %d: %s", resp.StatusCode, tc.want, raw)
+				t.Errorf("status %d, want %d: %s", resp.StatusCode, tc.want, viaGateway)
+			}
+			resp, direct := post(t, shard.URL+tc.url, tc.body, nil)
+			if resp.StatusCode != tc.want {
+				t.Errorf("shard status %d, want %d: %s", resp.StatusCode, tc.want, direct)
+			}
+			if string(viaGateway) != string(direct) {
+				t.Errorf("gateway and shard answer differently:\ngateway: %s\nshard:   %s", viaGateway, direct)
 			}
 		})
 	}

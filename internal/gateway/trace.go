@@ -10,25 +10,24 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/telemetry"
-	"hybridperf/internal/trace"
 )
 
 // applyAttribution stamps the merged answer's cost totals — prediction
 // count, simulated seconds, predicted energy summed over what the body
 // carries — onto the response headers (same names the shards use) and
 // the gateway's per-route aggregate series.
-func (g *Gateway) applyAttribution(w http.ResponseWriter, route string, preds int, simS, energyJ float64) {
+func (g *Gateway) applyAttribution(w http.ResponseWriter, route string, c api.Cost) {
 	h := w.Header()
-	h.Set(telemetry.PredictionsHeader, strconv.Itoa(preds))
-	h.Set(telemetry.SimSecondsHeader, strconv.FormatFloat(simS, 'g', -1, 64))
-	h.Set(telemetry.EnergyHeader, strconv.FormatFloat(energyJ, 'g', -1, 64))
-	g.mPreds.With(route).Add(uint64(preds))
-	g.mSimS.With(route).Add(simS)
-	g.mEnergy.With(route).Add(energyJ)
+	h.Set(telemetry.PredictionsHeader, strconv.Itoa(c.Predictions))
+	h.Set(telemetry.SimSecondsHeader, strconv.FormatFloat(c.SimSeconds, 'g', -1, 64))
+	h.Set(telemetry.EnergyHeader, strconv.FormatFloat(c.EnergyJ, 'g', -1, 64))
+	g.mPreds.With(route).Add(uint64(c.Predictions))
+	g.mSimS.With(route).Add(c.SimSeconds)
+	g.mEnergy.With(route).Add(c.EnergyJ)
 }
 
 // handleTraceByID serves the stitched GET /debug/trace/{traceid}: the
@@ -59,12 +58,12 @@ func (g *Gateway) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(payloads) == 0 {
-		httpError(w, http.StatusNotFound,
+		api.Error(w, http.StatusNotFound,
 			"no hop recorded trace id %q (sampled traces only, bounded retention)", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	trace.WriteChromeProcesses(w, stitchProcesses(payloads))
+	telemetry.WriteChromeTrace(w, payloads)
 }
 
 // fetchTrace pulls one shard's payload for a trace id; a 404 (the shard
@@ -89,44 +88,4 @@ func (g *Gateway) fetchTrace(ctx context.Context, peer, id string) *telemetry.Tr
 		return nil
 	}
 	return &p
-}
-
-// stitchProcesses converts hop payloads into one lane group per hop on a
-// shared time axis (seconds since the earliest recorded span). An engine
-// phase timeline is anchored at the start of the characterisation span
-// that produced it, so the virtual-time lane renders inside the
-// wall-clock span that paid for it.
-func stitchProcesses(payloads []*telemetry.TracePayload) []trace.ProcessTrace {
-	t0 := int64(0)
-	first := true
-	for _, p := range payloads {
-		for _, s := range p.Spans {
-			if first || s.StartUS < t0 {
-				t0, first = s.StartUS, false
-			}
-		}
-	}
-	procs := make([]trace.ProcessTrace, 0, len(payloads))
-	for _, p := range payloads {
-		proc := trace.ProcessTrace{Name: p.Source}
-		var charStart float64
-		for _, s := range p.Spans {
-			start := float64(s.StartUS-t0) / 1e6
-			end := float64(s.EndUS-t0) / 1e6
-			proc.Spans = append(proc.Spans, trace.Span{Name: s.Name, Cat: s.Cat, Start: start, End: end})
-			if s.Cat == "model" && strings.HasPrefix(s.Name, "characterize ") {
-				charStart = start
-			}
-		}
-		for _, ph := range p.Phases {
-			kind, ok := trace.ParseKind(ph.Kind)
-			if !ok {
-				continue
-			}
-			proc.Phases = append(proc.Phases, trace.Event{Rank: ph.Rank, Kind: kind, Start: ph.StartS, End: ph.EndS})
-		}
-		proc.PhaseOffset = charStart
-		procs = append(procs, proc)
-	}
-	return procs
 }

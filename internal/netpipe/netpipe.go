@@ -53,6 +53,7 @@ func Measure(prof *machine.Profile, sizes []float64, reps int) ([]Point, error) 
 	}
 
 	k := des.NewKernel()
+	defer k.Shutdown()
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),

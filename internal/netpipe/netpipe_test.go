@@ -2,7 +2,9 @@ package netpipe
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/machine"
@@ -118,5 +120,24 @@ func TestDefaultSizesSpan(t *testing.T) {
 		if sizes[i] != 2*sizes[i-1] {
 			t.Fatal("sizes are not powers of two")
 		}
+	}
+}
+
+// TestMeasureReapsKernel: Measure shuts its kernel down, so the MPI
+// couriers of its ping-pong leave no goroutines parked behind it.
+func TestMeasureReapsKernel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := Measure(machine.ARMCortexA9(), DefaultSizes(), 2); err != nil {
+		t.Fatal(err)
+	}
+	// A reaped process goroutine may still be on its way out: give the
+	// stragglers a moment, never a parked one.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before Measure, %d after", before, after)
 	}
 }

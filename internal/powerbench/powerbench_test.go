@@ -2,7 +2,9 @@ package powerbench
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"hybridperf/internal/machine"
 )
@@ -113,5 +115,25 @@ func TestCharacterizeInvalidProfile(t *testing.T) {
 	bad.CoresPerNode = 0
 	if _, err := Characterize(bad, 1); err == nil {
 		t.Fatal("invalid profile accepted")
+	}
+}
+
+// TestCharacterizeReapsKernels: every micro-benchmark shuts its kernel
+// down, so a characterisation leaves no simulated-process goroutines
+// parked behind it.
+func TestCharacterizeReapsKernels(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := Characterize(machine.XeonE5(), 42); err != nil {
+		t.Fatal(err)
+	}
+	// A reaped process goroutine may still be on its way out: give the
+	// stragglers a moment, never a parked one.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before Characterize, %d after", before, after)
 	}
 }

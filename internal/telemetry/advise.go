@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/characterize"
 	"hybridperf/internal/dvfs"
 	"hybridperf/internal/machine"
@@ -20,24 +21,6 @@ import (
 // recommended policy. The evaluation itself lives in
 // characterize.Advise; this file is only the wire layer: decode,
 // validation, canonicalisation, admission, caching, attribution.
-
-// adviseRequest is the /v1/advise body.
-type adviseRequest struct {
-	System  string `json:"system"`
-	Program string `json:"program"`
-	Class   string `json:"class"`
-	Nodes   int    `json:"nodes"` // 0 = testbed size
-	Cores   int    `json:"cores"` // 0 = cores per node
-	// Policies selects a subset of the governor suite; empty evaluates
-	// every policy. Order and duplicates are erased: the response is
-	// always in suite order.
-	Policies []string `json:"policies"`
-	// MaxSlowdownPct is the makespan tolerance in percent (the
-	// phase-predictive governor's budget and the recommendation
-	// cut-off); 0 takes the server default.
-	MaxSlowdownPct float64 `json:"max_slowdown_pct"`
-	Engine         string  `json:"engine"` // "" = server default
-}
 
 // canonPolicies validates the requested policy names and returns the
 // canonical selection: the full suite when empty, otherwise the suite
@@ -68,13 +51,13 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		tDecode = time.Now()
 	}
-	body, ok := readBodyMax(w, r, 1<<20)
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	var req adviseRequest
-	if err := decodeAdviseRequest(body, &req); err != nil {
-		badBody(w, err)
+	var req api.AdviseRequest
+	if err := api.DecodeAdvise(body, &req); err != nil {
+		api.BadBody(w, err)
 		return
 	}
 	if rt != nil {
@@ -92,24 +75,12 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	// the key is canonical (an explicit nodes equal to the testbed size
 	// hits the same entry as an omitted one) and garbage requests never
 	// reach the cache.
-	prof, err := machine.ByName(req.System)
+	m, err := api.ResolveModel(req.System, req.Program, req.Class)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown system %q", req.System)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec, err := workload.ByName(req.Program)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown program %q", req.Program)
-		return
-	}
-	class := req.Class
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	if _, err := spec.Iterations(workload.Class(class)); err != nil {
-		httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-		return
-	}
+	prof, class := m.Prof, m.Class
 	nodes, cores := req.Nodes, req.Cores
 	if nodes == 0 {
 		nodes = prof.MaxNodes
@@ -118,18 +89,18 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		cores = prof.CoresPerNode
 	}
 	if err := prof.ValidateConfig(machine.Config{Nodes: nodes, Cores: cores, Freq: prof.FMax()}); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid configuration: %v", err)
+		api.Error(w, http.StatusBadRequest, "invalid configuration: %v", err)
 		return
 	}
 	policies, err := canonPolicies(req.Policies)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	slowdown := s.advSlowdown
 	if req.MaxSlowdownPct != 0 {
 		if !(req.MaxSlowdownPct > 0 && req.MaxSlowdownPct < 100) {
-			httpError(w, http.StatusBadRequest, "max_slowdown_pct %g out of range (0,100)", req.MaxSlowdownPct)
+			api.Error(w, http.StatusBadRequest, "max_slowdown_pct %g out of range (0,100)", req.MaxSlowdownPct)
 			return
 		}
 		slowdown = req.MaxSlowdownPct / 100
@@ -170,15 +141,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			Engine:        engine,
 			Ctx:           r.Context(),
 			SharedMetrics: s.engines[engine],
-			Observe:       s.spans.Observer("exec"),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("advise failed: %w", err)
 		}
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("advise %s/%s n=%d c=%d (%d policies)",
-			req.System, req.Program, nodes, cores, len(adv.Policies)),
-			t0, tEval, map[string]any{"id": requestID(r.Context())})
 		if rt != nil {
 			rt.AddSpan("model", fmt.Sprintf("advise %s/%s (%d policies)",
 				req.System, req.Program, len(adv.Policies)), t0, tEval)
@@ -199,66 +166,30 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// adviseSummary is the header of an advise answer: everything except the
-// per-policy list. It doubles as the NDJSON summary line, so the
-// streamed and document forms carry identical fields by construction.
-type adviseSummary struct {
-	System  string `json:"system"`
-	Program string `json:"program"`
-	Class   string `json:"class"`
-	Nodes   int    `json:"nodes"`
-	Cores   int    `json:"cores"`
-	// Static is the model's prediction at the static Pareto point the
-	// governed runs start from (min-EDP over the DVFS levels).
-	Static predictionJSON `json:"static"`
-	// Baseline measures the ungoverned DES run at the static point —
-	// the denominator of every per-policy delta.
-	BaselineTimeS   float64 `json:"baseline_time_s"`
-	BaselineEnergyJ float64 `json:"baseline_energy_j"`
-	MaxSlowdownPct  float64 `json:"max_slowdown_pct"`
-	Recommended     string  `json:"recommended"`
-}
-
-// adviseTransitionJSON is one frequency-schedule step.
-type adviseTransitionJSON struct {
-	Iter    int     `json:"iter"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
-
-// advisePolicyJSON is one policy's governed outcome on the wire.
-type advisePolicyJSON struct {
-	Policy           string                 `json:"policy"`
-	TimeS            float64                `json:"time_s"`
-	EnergyJ          float64                `json:"energy_j"`
-	MakespanDeltaPct float64                `json:"makespan_delta_pct"`
-	EnergyDeltaPct   float64                `json:"energy_delta_pct"`
-	Schedule         []adviseTransitionJSON `json:"schedule"`
-}
-
 // buildAdviseResponse renders both wire shapes of an advise answer — the
 // JSON document (summary fields + policies array) and the NDJSON lines
 // (one policy per line, then the summary) — by marshalling each policy
 // outcome once and splicing the fragments into both shapes.
 func buildAdviseResponse(system, program, class string, maxSlowdown float64, adv *characterize.Advice) *cachedResponse {
-	sum := adviseSummary{
+	sum := api.AdviseSummary{
 		System:          system,
 		Program:         program,
 		Class:           class,
 		Nodes:           adv.Static.Cfg.Nodes,
 		Cores:           adv.Static.Cfg.Cores,
-		Static:          toPredictionJSON(adv.Static.Pred),
+		Static:          api.ToPrediction(adv.Static.Pred),
 		BaselineTimeS:   adv.BaselineTimeS,
 		BaselineEnergyJ: adv.BaselineEnergyJ,
 		MaxSlowdownPct:  maxSlowdown * 100,
 		Recommended:     adv.Recommended,
 	}
-	outs := make([]advisePolicyJSON, len(adv.Policies))
+	outs := make([]api.AdvisePolicy, len(adv.Policies))
 	for i, p := range adv.Policies {
-		sched := make([]adviseTransitionJSON, len(p.Schedule))
+		sched := make([]api.AdviseTransition, len(p.Schedule))
 		for j, tr := range p.Schedule {
-			sched[j] = adviseTransitionJSON{Iter: tr.Iter, FreqGHz: tr.Freq / 1e9}
+			sched[j] = api.AdviseTransition{Iter: tr.Iter, FreqGHz: tr.Freq / 1e9}
 		}
-		outs[i] = advisePolicyJSON{
+		outs[i] = api.AdvisePolicy{
 			Policy:           p.Policy,
 			TimeS:            p.TimeS,
 			EnergyJ:          p.EnergyJ,
@@ -267,9 +198,10 @@ func buildAdviseResponse(system, program, class string, maxSlowdown float64, adv
 			Schedule:         sched,
 		}
 	}
-	resp := spliceResponse(mustJSON(sum), "policies", "policy", marshalEach(outs))
 	// Attribution covers the simulations the answer carries: the
 	// baseline run plus one governed run per policy.
-	resp.attr = makeAttribution(adv.Runs, adv.SimSeconds, adv.SimEnergyJ)
-	return resp
+	return &cachedResponse{
+		Doc:  api.Splice(api.MustJSON(sum), "policies", "policy", api.MarshalEach(outs)),
+		attr: makeAttribution(api.Cost{Predictions: adv.Runs, SimSeconds: adv.SimSeconds, EnergyJ: adv.SimEnergyJ}),
+	}
 }

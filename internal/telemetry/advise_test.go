@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/dvfs"
 )
 
@@ -21,7 +22,7 @@ type adviseResponseJSON struct {
 	Class           string         `json:"class"`
 	Nodes           int            `json:"nodes"`
 	Cores           int            `json:"cores"`
-	Static          predictionJSON `json:"static"`
+	Static          api.Prediction `json:"static"`
 	BaselineTimeS   float64        `json:"baseline_time_s"`
 	BaselineEnergyJ float64        `json:"baseline_energy_j"`
 	MaxSlowdownPct  float64        `json:"max_slowdown_pct"`

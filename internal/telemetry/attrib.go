@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+
+	"hybridperf/internal/api"
 )
 
 // Attribution response headers (exported: the gateway stamps the same
@@ -39,16 +41,16 @@ type attribution struct {
 	predsV, simV, energyV []string
 }
 
-func makeAttribution(preds int, simSeconds, energyJ float64) attribution {
+func makeAttribution(c api.Cost) attribution {
 	vals := []string{
-		strconv.Itoa(preds),
-		strconv.FormatFloat(simSeconds, 'g', -1, 64),
-		strconv.FormatFloat(energyJ, 'g', -1, 64),
+		strconv.Itoa(c.Predictions),
+		strconv.FormatFloat(c.SimSeconds, 'g', -1, 64),
+		strconv.FormatFloat(c.EnergyJ, 'g', -1, 64),
 	}
 	return attribution{
-		preds:      preds,
-		simSeconds: simSeconds,
-		energyJ:    energyJ,
+		preds:      c.Predictions,
+		simSeconds: c.SimSeconds,
+		energyJ:    c.EnergyJ,
 		predsStr:   vals[0],
 		simStr:     vals[1],
 		energyStr:  vals[2],
@@ -118,9 +120,9 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceid")
 	p, ok := s.traces.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown trace id %q (sampled traces only, bounded retention)", id)
+		api.Error(w, http.StatusNotFound, "unknown trace id %q (sampled traces only, bounded retention)", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(p))
+	w.Write(api.MustJSON(p))
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hybridperf/internal/api"
 )
 
 type batchResponse struct {
@@ -99,7 +101,7 @@ func TestBatchErrorPaths(t *testing.T) {
 		{"bad class", `{"class":"Z","tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1}]}`, 400, "class"},
 		{"invalid config", `{"tuples":[{"system":"xeon","program":"SP","nodes":1,"cores":1},{"system":"xeon","program":"SP","nodes":0,"cores":1}]}`, 400, "tuple 1: invalid configuration"},
 		{"unknown field", `{"tuplez":[]}`, 400, "tuplez"},
-		{"over the tuple cap", `{"tuples":[` + strings.Repeat(many, maxBatchTuples) + many[:len(many)-1] + `]}`, 400, "limit"},
+		{"over the tuple cap", `{"tuples":[` + strings.Repeat(many, api.MaxBatchTuples) + many[:len(many)-1] + `]}`, 400, "limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

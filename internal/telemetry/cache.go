@@ -6,6 +6,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"hybridperf/internal/api"
 )
 
 // errFlightAborted marks a singleflight computation whose leader panicked
@@ -19,46 +21,13 @@ var errFlightAborted = errors.New("collapsed request aborted before completing; 
 // size-bounded cache.
 const maxCacheEntryBytes = 4 << 20
 
-// cachedResponse is one fully rendered answer, stored once: the
-// canonical JSON document — the summary's fields, then an array of item
-// fragments — plus the offsets of those fragments. The NDJSON form, one
-// `{"type":"<item>","<item>":<fragment>}` line per item and then
-// `{"type":"summary",<summary fields>}`, is derived from the document as
-// it is written (appendLine). So the streamed and document forms of one
-// answer carry the same bytes per item by construction, a cache hit
-// replays exactly what its compute rendered, and no answer is held twice.
+// cachedResponse is one fully rendered answer (document plus the
+// offsets its NDJSON form is derived from, see api.Doc) with its cost
+// attribution, computed (and its header strings formatted) once at build
+// time so cache hits replay it without touching the body.
 type cachedResponse struct {
-	body   []byte  // full JSON document, trailing newline included
-	item   string  // NDJSON type tag of one list item
-	sumEnd int     // body[1:sumEnd] is the summary's fields
-	starts []int32 // item i is body[starts[i] : starts[i+1]-1]; len(starts) = items+1
-
-	// attr is the response's cost attribution, computed (and its header
-	// strings formatted) once at build time so cache hits replay it
-	// without touching the body.
+	api.Doc
 	attr attribution
-}
-
-func (c *cachedResponse) size() int { return len(c.body) + 4*len(c.starts) }
-
-// lineCount is the number of NDJSON lines the answer streams as: one per
-// item, then the summary.
-func (c *cachedResponse) lineCount() int { return len(c.starts) }
-
-// appendLine appends NDJSON line i, without its newline.
-func (c *cachedResponse) appendLine(b []byte, i int) []byte {
-	if i == len(c.starts)-1 {
-		b = append(b, `{"type":"summary",`...)
-		b = append(b, c.body[1:c.sumEnd]...)
-		return append(b, '}')
-	}
-	b = append(b, `{"type":"`...)
-	b = append(b, c.item...)
-	b = append(b, `","`...)
-	b = append(b, c.item...)
-	b = append(b, `":`...)
-	b = append(b, c.body[c.starts[i]:c.starts[i+1]-1]...)
-	return append(b, '}')
 }
 
 // cacheCounters are the exported hybridperf_response_cache_* series the
@@ -164,7 +133,7 @@ func (c *responseCache) removeLocked(el *list.Element) {
 // store inserts a computed response, evicting from the LRU tail to stay
 // within capacity. Oversized responses are not retained.
 func (c *responseCache) store(key string, resp *cachedResponse) {
-	if resp.size() > maxCacheEntryBytes {
+	if resp.Size() > maxCacheEntryBytes {
 		return
 	}
 	e := &cacheEntry{key: key, resp: resp}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hybridperf/internal/api"
 )
 
 func newTestCache(capacity int, ttl time.Duration) *responseCache {
@@ -23,7 +25,7 @@ func newTestCache(capacity int, ttl time.Duration) *responseCache {
 }
 
 func resp(s string) *cachedResponse {
-	return &cachedResponse{body: []byte(s)}
+	return &cachedResponse{Doc: api.Doc{Body: []byte(s)}}
 }
 
 func mustDo(t *testing.T, c *responseCache, key, val string) (*cachedResponse, cacheStatus) {
@@ -47,7 +49,7 @@ func TestCacheHitAndCounters(t *testing.T) {
 	if st != cacheHit {
 		t.Fatalf("second request status %q, want hit", st)
 	}
-	if !bytes.Equal(r1.body, r2.body) {
+	if !bytes.Equal(r1.Body, r2.Body) {
 		t.Error("hit served a different body than the miss stored")
 	}
 	if h, m := c.ctr.hits.Value(), c.ctr.misses.Value(); h != 1 || m != 1 {
@@ -101,8 +103,8 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if st != cacheMiss {
 		t.Errorf("expired entry served as %q, want miss", st)
 	}
-	if string(r.body) != "v3" {
-		t.Errorf("recompute served %q, want the fresh value", r.body)
+	if string(r.Body) != "v3" {
+		t.Errorf("recompute served %q, want the fresh value", r.Body)
 	}
 	if n := c.ctr.expired.Value(); n != 1 {
 		t.Errorf("expired = %d, want 1 (the TTL expiry)", n)
@@ -168,7 +170,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		if statuses[i] != cacheCollapsed {
 			t.Errorf("follower %d status %q, want collapsed", i, statuses[i])
 		}
-		if !bytes.Equal(results[i].body, leader.body) {
+		if !bytes.Equal(results[i].Body, leader.Body) {
 			t.Errorf("follower %d got a different body", i)
 		}
 	}
@@ -225,7 +227,7 @@ func TestCacheWaiterContextCancelled(t *testing.T) {
 	// The leader was undisturbed: its answer lands in the cache.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if r, st := mustDo(t, c, "k", "recompute"); st == cacheHit && string(r.body) == "v" {
+		if r, st := mustDo(t, c, "k", "recompute"); st == cacheHit && string(r.Body) == "v" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -279,12 +281,12 @@ func TestCachePanickedLeaderReleasesWaiters(t *testing.T) {
 // retained.
 func TestCacheOversizedNotStored(t *testing.T) {
 	c := newTestCache(4, 0)
-	huge := &cachedResponse{body: make([]byte, maxCacheEntryBytes+1)}
+	huge := &cachedResponse{Doc: api.Doc{Body: make([]byte, maxCacheEntryBytes+1)}}
 	r, st, err := c.do(context.Background(), "k", func() (*cachedResponse, error) {
 		return huge, nil
 	})
-	if err != nil || st != cacheMiss || len(r.body) != len(huge.body) {
-		t.Fatalf("oversized compute: status %q err %v len %d", st, err, len(r.body))
+	if err != nil || st != cacheMiss || len(r.Body) != len(huge.Body) {
+		t.Fatalf("oversized compute: status %q err %v len %d", st, err, len(r.Body))
 	}
 	if _, st := mustDo(t, c, "k", "small"); st != cacheMiss {
 		t.Error("oversized response was retained")

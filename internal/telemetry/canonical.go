@@ -1,14 +1,12 @@
 package telemetry
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"slices"
 	"strconv"
 	"strings"
 
-	"hybridperf/internal/machine"
+	"hybridperf/internal/api"
 )
 
 // Request canonicalisation maps every JSON body that asks for the same
@@ -52,69 +50,27 @@ func adviseCacheKey(system, program, class string, nodes, cores int, policies []
 	}, "\x1f")
 }
 
-// canonTuple is one batch tuple after validation and default resolution:
-// names verified, frequency resolved to Hz (freq_ghz 0 → the profile's
-// f_max).
-type canonTuple struct {
-	system, program string
-	cfg             machine.Config
-}
-
-// compare orders tuples by (system, program, nodes, cores, freq).
-func (t canonTuple) compare(u canonTuple) int {
-	if c := strings.Compare(t.system, u.system); c != 0 {
-		return c
-	}
-	if c := strings.Compare(t.program, u.program); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(t.cfg.Nodes, u.cfg.Nodes); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(t.cfg.Cores, u.cfg.Cores); c != 0 {
-		return c
-	}
-	return cmp.Compare(t.cfg.Freq, u.cfg.Freq)
-}
-
-// canonicalizeTuples sorts tuples by (system, program, nodes, cores,
-// freq) and drops duplicates, in place. The returned slice is the
-// canonical evaluation order: /v1/batch responds in exactly this order,
-// which is what makes byte-level response caching sound for bodies that
-// list the same tuples shuffled or repeated.
-func canonicalizeTuples(tuples []canonTuple) []canonTuple {
-	slices.SortFunc(tuples, canonTuple.compare)
-	out := tuples[:0]
-	for i, t := range tuples {
-		if i > 0 && t == tuples[i-1] {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // batchCacheKey canonicalises a /v1/batch request from its canonical
-// tuple list (already sorted and deduplicated). Batch bodies can carry
+// tuple list (already sorted and deduplicated by api.Canonicalize). Batch bodies can carry
 // tens of thousands of tuples, so the key is the SHA-256 of the canonical
 // serialisation rather than the serialisation itself — map keys stay
 // small and comparisons O(1).
-func batchCacheKey(class string, tuples []canonTuple) string {
+func batchCacheKey(class string, tuples []api.Tuple) string {
 	h := sha256.New()
 	h.Write([]byte("batch\x1f" + class))
 	var b []byte
 	for _, t := range tuples {
 		b = b[:0]
 		b = append(b, 0x1f)
-		b = append(b, t.system...)
+		b = append(b, t.System...)
 		b = append(b, 0x1f)
-		b = append(b, t.program...)
+		b = append(b, t.Program...)
 		b = append(b, 0x1f)
-		b = strconv.AppendInt(b, int64(t.cfg.Nodes), 10)
+		b = strconv.AppendInt(b, int64(t.Cfg.Nodes), 10)
 		b = append(b, 0x1f)
-		b = strconv.AppendInt(b, int64(t.cfg.Cores), 10)
+		b = strconv.AppendInt(b, int64(t.Cfg.Cores), 10)
 		b = append(b, 0x1f)
-		b = strconv.AppendFloat(b, t.cfg.Freq, 'g', -1, 64)
+		b = strconv.AppendFloat(b, t.Cfg.Freq, 'g', -1, 64)
 		h.Write(b)
 	}
 	return "batch\x1f" + hex.EncodeToString(h.Sum(nil))

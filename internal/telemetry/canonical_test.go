@@ -3,12 +3,13 @@ package telemetry
 import (
 	"testing"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/machine"
 )
 
-func ct(system, program string, nodes, cores int, freq float64) canonTuple {
-	return canonTuple{system: system, program: program,
-		cfg: machine.Config{Nodes: nodes, Cores: cores, Freq: freq}}
+func ct(system, program string, nodes, cores int, freq float64) api.Tuple {
+	return api.Tuple{System: system, Program: program,
+		Cfg: machine.Config{Nodes: nodes, Cores: cores, Freq: freq}}
 }
 
 // TestCanonicalizeTuples: sorting is total over all five coordinates and
@@ -19,16 +20,16 @@ func TestCanonicalizeTuples(t *testing.T) {
 	b := ct("arm", "CP", 1, 2, 1.6e9)
 	c := ct("arm", "LB", 1, 1, 1.4e9)
 	d := ct("xeon", "SP", 4, 8, 1.8e9)
-	want := []canonTuple{a, b, c, d}
+	want := []api.Tuple{a, b, c, d}
 
-	perms := [][]canonTuple{
+	perms := [][]api.Tuple{
 		{a, b, c, d},
 		{d, c, b, a},
 		{c, a, d, b},
 		{d, d, a, c, b, a, b, c}, // repeats collapse
 	}
 	for i, p := range perms {
-		got := canonicalizeTuples(append([]canonTuple(nil), p...))
+		got := api.Canonicalize(append([]api.Tuple(nil), p...))
 		if len(got) != len(want) {
 			t.Fatalf("perm %d: %d tuples, want %d: %+v", i, len(got), len(want), got)
 		}
@@ -43,14 +44,14 @@ func TestCanonicalizeTuples(t *testing.T) {
 // TestBatchCacheKeyCanonical: reordered and duplicated tuple lists produce
 // one key; any coordinate change produces a different key.
 func TestBatchCacheKeyCanonical(t *testing.T) {
-	base := []canonTuple{ct("xeon", "SP", 1, 1, 1.8e9), ct("xeon", "SP", 2, 4, 2.0e9)}
-	shuffled := []canonTuple{base[1], base[0], base[0], base[1]}
-	k1 := batchCacheKey("A", canonicalizeTuples(append([]canonTuple(nil), base...)))
-	k2 := batchCacheKey("A", canonicalizeTuples(shuffled))
+	base := []api.Tuple{ct("xeon", "SP", 1, 1, 1.8e9), ct("xeon", "SP", 2, 4, 2.0e9)}
+	shuffled := []api.Tuple{base[1], base[0], base[0], base[1]}
+	k1 := batchCacheKey("A", api.Canonicalize(append([]api.Tuple(nil), base...)))
+	k2 := batchCacheKey("A", api.Canonicalize(shuffled))
 	if k1 != k2 {
 		t.Errorf("shuffled+duplicated tuple list changed the key:\n%s\n%s", k1, k2)
 	}
-	variants := [][]canonTuple{
+	variants := [][]api.Tuple{
 		{base[0]},                                // fewer tuples
 		{base[0], ct("xeon", "SP", 2, 4, 2.2e9)}, // different freq
 		{base[0], ct("xeon", "SP", 2, 5, 2.0e9)}, // different cores
@@ -60,13 +61,13 @@ func TestBatchCacheKeyCanonical(t *testing.T) {
 	}
 	seen := map[string]int{k1: -1}
 	for i, v := range variants {
-		k := batchCacheKey("A", canonicalizeTuples(v))
+		k := batchCacheKey("A", api.Canonicalize(v))
 		if prev, dup := seen[k]; dup {
 			t.Errorf("variant %d collides with variant %d", i, prev)
 		}
 		seen[k] = i
 	}
-	if k := batchCacheKey("B", canonicalizeTuples(append([]canonTuple(nil), base...))); k == k1 {
+	if k := batchCacheKey("B", api.Canonicalize(append([]api.Tuple(nil), base...))); k == k1 {
 		t.Error("class change did not change the key")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"net/http"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/cluster"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
@@ -187,15 +188,15 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 // a canonicalised batch, if there is one. Mixed-ownership batches return
 // false and are served locally: splitting them is the gateway's job, and
 // a replica re-fanning a batch would double the hop count for no win.
-func (s *Server) batchRemoteOwner(r *http.Request, canon []canonTuple) (string, bool) {
+func (s *Server) batchRemoteOwner(r *http.Request, canon []api.Tuple) (string, bool) {
 	if s.ring == nil || len(canon) == 0 {
 		return "", false
 	}
-	owner := s.ring.Owner(cluster.ModelKey(canon[0].system, canon[0].program))
+	owner := s.ring.Owner(cluster.ModelKey(canon[0].System, canon[0].Program))
 	for _, t := range canon[1:] {
-		if s.ring.Owner(cluster.ModelKey(t.system, t.program)) != owner {
+		if s.ring.Owner(cluster.ModelKey(t.System, t.Program)) != owner {
 			return "", false
 		}
 	}
-	return s.remoteOwner(r, cluster.ModelKey(canon[0].system, canon[0].program))
+	return s.remoteOwner(r, cluster.ModelKey(canon[0].System, canon[0].Program))
 }

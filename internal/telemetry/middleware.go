@@ -11,33 +11,34 @@ import (
 	"time"
 )
 
-// statusWriter captures the response status and body size for the access
-// log and the request metrics.
-type statusWriter struct {
+// StatusWriter captures the response status and body size for the access
+// log and the request metrics, in the shards' middleware and the
+// gateway's.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	Status int
+	Bytes  int64
 }
 
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
+func (sw *StatusWriter) WriteHeader(code int) {
+	if sw.Status == 0 {
+		sw.Status = code
 	}
 	sw.ResponseWriter.WriteHeader(code)
 }
 
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
+func (sw *StatusWriter) Write(p []byte) (int, error) {
+	if sw.Status == 0 {
+		sw.Status = http.StatusOK
 	}
 	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += int64(n)
+	sw.Bytes += int64(n)
 	return n, err
 }
 
 // Flush forwards to the wrapped writer so NDJSON streaming handlers can
 // push partial responses through the middleware.
-func (sw *statusWriter) Flush() {
+func (sw *StatusWriter) Flush() {
 	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -46,13 +47,11 @@ func (sw *statusWriter) Flush() {
 // annotations carries the model coordinates a handler attaches to its
 // request so the access-log line can report them (program, system, class,
 // config) without the middleware knowing any route's schema. It doubles
-// as the request's identity carrier — id, trace context, cost
-// attribution — so the hot path pays for one context value instead of
-// three (each context.WithValue is an allocation, plus one boxing the
+// as the request's identity carrier — trace context, cost attribution —
+// so the hot path pays for one context value instead of three (each context.WithValue is an allocation, plus one boxing the
 // value; the cache-hit path logs all of this on every request).
 type annotations struct {
-	id string       // set once by instrument, immutable after
-	tc TraceContext // this hop's trace context
+	tc TraceContext // this hop's trace context, set once by instrument
 
 	mu    sync.Mutex
 	attrs []slog.Attr
@@ -74,16 +73,6 @@ func annotate(ctx context.Context, attrs ...slog.Attr) {
 	a.mu.Unlock()
 }
 
-// requestID returns the id assigned to the request by instrument, "" if
-// none.
-func requestID(ctx context.Context) string {
-	a, _ := ctx.Value(annotationsKey{}).(*annotations)
-	if a == nil {
-		return ""
-	}
-	return a.id
-}
-
 // traceContextFor returns the hop's trace context: from the carrier for
 // requests that passed instrument, falling back to an explicitly
 // attached one (WithTraceContext) for everything else.
@@ -97,7 +86,7 @@ func traceContextFor(ctx context.Context) (TraceContext, bool) {
 // instrument wraps a handler with the full observability stack: the
 // trace context (parsed from an incoming traceparent or minted here,
 // with X-Request-Id derived from it), the in-flight gauge, per-route
-// request counting and latency observation, a recorded span, panic
+// request counting and latency observation, panic
 // recovery (500 + stack log instead of a dead connection), the optional
 // per-request deadline, cancellation accounting, and one structured
 // access-log line carrying whatever coordinates the handler annotated.
@@ -108,7 +97,10 @@ func traceContextFor(ctx context.Context) (TraceContext, bool) {
 // without one mint a fresh context, sampled per Config.TraceSample.
 // Sampled requests carry a RequestTrace in their context; handlers
 // record child spans into it and the completed payload lands in the
-// trace store, pullable via GET /debug/trace/{traceid}.
+// trace store, pullable via GET /debug/trace/{traceid}. While a
+// GET /debug/trace?duration window is open every request records one,
+// for the window only: its sampling decision, and so its response
+// headers and whatever it propagates downstream, stay as they were.
 //
 // The /metrics route is exempt from the in-flight gauge: a scrape would
 // otherwise always observe itself as one in-flight request, so the gauge
@@ -134,10 +126,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			w.Header().Set(shardHeader, s.self)
 		}
 
-		ann := &annotations{id: id, tc: tc}
+		ann := &annotations{tc: tc}
 		ctx := context.WithValue(r.Context(), annotationsKey{}, ann)
 		var rt *RequestTrace
-		if tc.Sampled {
+		if tc.Sampled || s.traces.Recording() {
 			rt = NewRequestTrace(tc)
 			ctx = WithRequestTrace(ctx, rt)
 		}
@@ -148,7 +140,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		r = r.WithContext(ctx)
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		if trackInflight {
 			s.mInflight.With().Inc()
 		}
@@ -172,27 +164,24 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 					slog.String("route", route),
 					slog.Any("panic", rec),
 					slog.String("stack", string(debug.Stack())))
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					sw.Header().Set("Content-Type", "application/json")
 					sw.WriteHeader(http.StatusInternalServerError)
 					fmt.Fprintln(sw, `{"error":"internal server error","status":500}`)
 				}
 			}
-			if sw.status == 0 {
-				sw.status = http.StatusOK
+			if sw.Status == 0 {
+				sw.Status = http.StatusOK
 			}
 			end := time.Now()
 			dur := end.Sub(start)
-			s.mReq.With(route, r.Method, strconv.Itoa(sw.status)).Inc()
+			s.mReq.With(route, r.Method, strconv.Itoa(sw.Status)).Inc()
 			s.mDur.With(route).Observe(dur.Seconds())
-			s.spans.Observe("http", r.Method+" "+route, start, end, map[string]any{
-				"id": id, "status": sw.status,
-			})
 			if rt != nil {
 				// The root span closes last, so every child nests inside it
 				// in the stitched view; then the payload becomes pullable.
 				rt.AddSpan("http", r.Method+" "+route, start, end)
-				s.traces.Put(rt.Payload(s.traceSource()))
+				s.traces.Put(rt.Payload(s.traceSource()), tc.Sampled)
 			}
 			ann.mu.Lock()
 			attrs := make([]slog.Attr, 0, 10+len(ann.attrs))
@@ -203,8 +192,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				slog.String("trace", id[2:34]),
 				slog.String("route", route),
 				slog.String("method", r.Method),
-				slog.Int("status", sw.status),
-				slog.Int64("bytes", sw.bytes),
+				slog.Int("status", sw.Status),
+				slog.Int64("bytes", sw.Bytes),
 				slog.Duration("duration", dur))
 			if ann.attr.predsStr != "" {
 				attrs = append(attrs,
@@ -215,7 +204,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			attrs = append(attrs, ann.attrs...)
 			ann.mu.Unlock()
 			level := slog.LevelInfo
-			if sw.status >= 500 {
+			if sw.Status >= 500 {
 				level = slog.LevelError
 			}
 			s.log.LogAttrs(ctx, level, "request", attrs...)

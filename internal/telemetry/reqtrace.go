@@ -1,19 +1,24 @@
 package telemetry
 
-// Request-scoped span trees. The span flight recorder (spans.go) is a
-// per-process ring answering "what is this server doing right now"; a
-// RequestTrace answers "what did this one request cost, and where" — the
-// middleware opens it for sampled requests, handlers record
-// decode/cache/characterize/evaluate/render children, a cold sampled
-// characterisation attaches the engine's per-rank phase timeline, and
-// the completed payload lands in the TraceStore, pullable by trace id
-// via GET /debug/trace/{traceid}. The gateway fetches every shard's
-// payload for one trace id and stitches them into a single Chrome-trace
-// file (see internal/gateway and trace.WriteChromeProcesses).
+// Request-scoped span trees. A RequestTrace answers "what did this one
+// request cost, and where" — the middleware opens it for sampled
+// requests, handlers record decode/cache/characterize/evaluate/render
+// children, a cold sampled characterisation attaches the engine's
+// per-rank phase timeline, and the completed payload lands in the
+// TraceStore, pullable by trace id via GET /debug/trace/{traceid}. The
+// gateway fetches every shard's payload for one trace id and stitches
+// them into a single Chrome-trace file (WriteChromeTrace). The same
+// store answers "what is this server doing right now": a
+// GET /debug/trace?duration window records every request that starts
+// inside it and exports the trees that finished in it.
 
 import (
 	"context"
+	"io"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybridperf/internal/trace"
@@ -143,27 +148,37 @@ func (rt *RequestTrace) Payload(source string) *TracePayload {
 
 type reqTraceKey struct{}
 
-// WithRequestTrace attaches a sampled request's span tree to its context.
+// WithRequestTrace attaches a request's span tree to its context.
 func WithRequestTrace(ctx context.Context, rt *RequestTrace) context.Context {
 	return context.WithValue(ctx, reqTraceKey{}, rt)
 }
 
 // RequestTraceFrom returns the request's span tree, nil when the request
-// is unsampled (every RequestTrace method tolerates the nil).
+// records none (every RequestTrace method tolerates the nil).
 func RequestTraceFrom(ctx context.Context) *RequestTrace {
 	rt, _ := ctx.Value(reqTraceKey{}).(*RequestTrace)
 	return rt
 }
 
+// maxWindowTraces bounds the request traces one recording window keeps;
+// payloads filed past it are dropped.
+const maxWindowTraces = 4096
+
 // TraceStore retains the most recent completed trace payloads by trace
 // id — the backing store of GET /debug/trace/{traceid}. Insertion-order
 // FIFO eviction: sampling is for on-demand inspection, not archival, so
-// a small bounded window is the point.
+// a small bounded window is the point. It also collects the payloads of
+// open recording windows (Window).
 type TraceStore struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[string]*TracePayload
 	order    []string
+	windows  []*[]*TracePayload // open recording windows
+
+	// open counts the open windows, read without the lock on every
+	// request (Recording).
+	open atomic.Int32
 }
 
 // NewTraceStore builds a store holding up to capacity payloads (<= 0
@@ -175,14 +190,24 @@ func NewTraceStore(capacity int) *TraceStore {
 	return &TraceStore{capacity: capacity, entries: map[string]*TracePayload{}}
 }
 
-// Put stores one payload, evicting the oldest past capacity. A second
-// payload under one trace id (a retried request reusing its trace)
-// replaces the first.
-func (ts *TraceStore) Put(p *TracePayload) {
-	if ts == nil || p == nil || p.TraceID == "" {
+// Put files one completed payload: into every open window and, when the
+// request was sampled, under its trace id — evicting the oldest past
+// capacity. A second payload under one trace id (a retried request
+// reusing its trace) replaces the first.
+func (ts *TraceStore) Put(p *TracePayload, sampled bool) {
+	if ts == nil || p == nil {
 		return
 	}
 	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	for _, w := range ts.windows {
+		if len(*w) < maxWindowTraces {
+			*w = append(*w, p)
+		}
+	}
+	if !sampled || p.TraceID == "" {
+		return
+	}
 	if _, ok := ts.entries[p.TraceID]; !ok {
 		ts.order = append(ts.order, p.TraceID)
 		for len(ts.order) > ts.capacity {
@@ -191,7 +216,36 @@ func (ts *TraceStore) Put(p *TracePayload) {
 		}
 	}
 	ts.entries[p.TraceID] = p
+}
+
+// Recording reports whether a window is open, in which case every
+// request starting now records its span tree.
+func (ts *TraceStore) Recording() bool {
+	return ts != nil && ts.open.Load() > 0
+}
+
+// Window opens a recording window for d and returns the payloads filed
+// while it was open — up to maxWindowTraces, in completion order — or
+// false when ctx ends first.
+func (ts *TraceStore) Window(ctx context.Context, d time.Duration) ([]*TracePayload, bool) {
+	w := new([]*TracePayload)
+	ts.mu.Lock()
+	ts.windows = append(ts.windows, w)
+	ts.open.Add(1)
 	ts.mu.Unlock()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	ok := false
+	select {
+	case <-timer.C:
+		ok = true
+	case <-ctx.Done():
+	}
+	ts.mu.Lock()
+	ts.windows = slices.DeleteFunc(ts.windows, func(o *[]*TracePayload) bool { return o == w })
+	ts.open.Add(-1)
+	ts.mu.Unlock()
+	return *w, ok
 }
 
 // Get returns the stored payload for a trace id.
@@ -203,4 +257,61 @@ func (ts *TraceStore) Get(traceID string) (*TracePayload, bool) {
 	p, ok := ts.entries[traceID]
 	ts.mu.Unlock()
 	return p, ok
+}
+
+// WriteChromeTrace renders trace payloads as one Chrome-trace JSON file
+// (trace.WriteChromeProcesses): the gateway's stitched
+// /debug/trace/{traceid}, and a shard's /debug/trace?duration window.
+func WriteChromeTrace(w io.Writer, payloads []*TracePayload) error {
+	return trace.WriteChromeProcesses(w, stitchProcesses(payloads))
+}
+
+// stitchProcesses converts payloads into one lane group per source hop on
+// a shared time axis (seconds since the earliest recorded span). An
+// engine phase timeline is anchored at the start of the characterisation
+// span that produced it, so the virtual-time lane renders inside the
+// wall-clock span that paid for it; a hop shows the first timeline its
+// payloads carry.
+func stitchProcesses(payloads []*TracePayload) []trace.ProcessTrace {
+	t0 := int64(0)
+	first := true
+	for _, p := range payloads {
+		for _, s := range p.Spans {
+			if first || s.StartUS < t0 {
+				t0, first = s.StartUS, false
+			}
+		}
+	}
+	var procs []trace.ProcessTrace
+	bySource := map[string]int{}
+	for _, p := range payloads {
+		i, ok := bySource[p.Source]
+		if !ok {
+			i = len(procs)
+			bySource[p.Source] = i
+			procs = append(procs, trace.ProcessTrace{Name: p.Source})
+		}
+		proc := &procs[i]
+		var charStart float64
+		for _, s := range p.Spans {
+			start := float64(s.StartUS-t0) / 1e6
+			end := float64(s.EndUS-t0) / 1e6
+			proc.Spans = append(proc.Spans, trace.Span{Name: s.Name, Cat: s.Cat, Start: start, End: end})
+			if s.Cat == "model" && strings.HasPrefix(s.Name, "characterize ") {
+				charStart = start
+			}
+		}
+		if len(proc.Phases) > 0 {
+			continue
+		}
+		for _, ph := range p.Phases {
+			kind, ok := trace.ParseKind(ph.Kind)
+			if !ok {
+				continue
+			}
+			proc.Phases = append(proc.Phases, trace.Event{Rank: ph.Rank, Kind: kind, Start: ph.StartS, End: ph.EndS})
+		}
+		proc.PhaseOffset = charStart
+	}
+	return procs
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hybridperf/internal/api"
 	"hybridperf/internal/characterize"
 	"hybridperf/internal/cluster"
 	"hybridperf/internal/core"
@@ -30,11 +31,6 @@ import (
 	"hybridperf/internal/workload"
 )
 
-// maxSweepNodes bounds /v1/sweep requests: the model happily extrapolates
-// to thousands of nodes, but an unbounded max_nodes would let one request
-// allocate an arbitrarily large configuration space.
-const maxSweepNodes = 1024
-
 // Config tunes the prediction service.
 type Config struct {
 	// Workers is the characterisation/sweep parallelism (<= 0 means
@@ -45,8 +41,6 @@ type Config struct {
 	Seed int64
 	// Logger receives the structured request log (nil = slog.Default()).
 	Logger *slog.Logger
-	// SpanCapacity bounds the span flight recorder (<= 0 means 4096).
-	SpanCapacity int
 	// MaxCampaigns bounds the heavy work admitted concurrently —
 	// characterisation campaigns and sweep evaluations (<= 0 means 4).
 	// Excess requests are shed with 429 + Retry-After instead of
@@ -107,12 +101,12 @@ type Server struct {
 	defEngine   string                     // resolved engine for requests that omit one
 	advSlowdown float64                    // resolved default /v1/advise makespan tolerance
 	engines     map[string]*metrics.Engine // shared engine counters per engine mode
-	spans       *Spans
 	start       time.Time
 	ready       atomic.Bool
 
 	// traces retains completed sampled request traces for the
-	// GET /debug/trace/{traceid} pull endpoint.
+	// GET /debug/trace/{traceid} pull endpoint, and records every request
+	// during a GET /debug/trace?duration window.
 	traces *TraceStore
 
 	// attrib pre-resolves the per-(route, engine) cost-attribution series
@@ -232,7 +226,6 @@ func NewServer(cfg Config) *Server {
 		reg:       NewRegistry(),
 		defEngine: defEngine,
 		engines:   engines,
-		spans:     NewSpans(cfg.SpanCapacity),
 		start:     time.Now(),
 		models:    map[modelKey]*modelEntry{},
 		sem:       make(chan struct{}, cfg.MaxCampaigns),
@@ -387,9 +380,6 @@ func (s *Server) EngineFor(mode string) *metrics.Engine { return s.engines[mode]
 // DefaultEngine reports the engine mode used by requests that omit one.
 func (s *Server) DefaultEngine() string { return s.defEngine }
 
-// Spans exposes the span flight recorder.
-func (s *Server) Spans() *Spans { return s.spans }
-
 // Handler returns the full route table wrapped in the telemetry
 // middleware.
 func (s *Server) Handler() http.Handler {
@@ -424,16 +414,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError is the structured JSON error envelope every 4xx/5xx carries.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error":  fmt.Sprintf(format, args...),
-		"status": status,
-	})
-}
-
 // errCharAborted marks a cache entry whose characterisation panicked
 // inside its sync.Once: the Once is burnt (done, but no model and no
 // error recorded), so waiters report a retryable failure instead of
@@ -446,10 +426,9 @@ var errSaturated = errors.New("admission slots saturated")
 
 // model returns the cached model for (system, program), characterising it
 // on first use with the server's collectors attached: every simulation
-// feeds the engine-mode's shared counters and the span recorder, and the
-// campaign logs one line with its engine-event delta. ctx cancels an
-// in-flight characterisation mid-simulation (client disconnect, request
-// timeout).
+// feeds the engine-mode's shared counters, and the campaign logs one
+// line with its engine-event delta. ctx cancels an in-flight
+// characterisation mid-simulation (client disconnect, request timeout).
 //
 // engine selects the simulation engine a cold characterisation runs on.
 // Both engines are bit-for-bit identical, so the cache stays keyed by
@@ -534,7 +513,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 			Engine:        engine,
 			Ctx:           ctx,
 			SharedMetrics: eng,
-			Observe:       s.spans.Observer("exec"),
 		}
 		if rt != nil {
 			opts.PhaseTrace = rt.AttachPhases
@@ -552,8 +530,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 			return
 		}
 		end := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("characterize %s/%s", key.system, key.program),
-			start, end, nil)
 		delta := eng.Snapshot().Sub(pre)
 		if rt != nil {
 			rt.AddSpan("model", fmt.Sprintf("characterize %s/%s", key.system, key.program), start, end)
@@ -596,16 +572,15 @@ func (s *Server) readyModel(key modelKey) *modelEntry {
 	return nil
 }
 
-// catalogue returns the profile and program spec key names, nil for an
-// unknown name. A ready model already holds both; machine.ByName and
+// catalogue returns the profile and program spec of system and program,
+// nil for an unknown name — the api.Catalogue batch validation resolves
+// through. A ready model already holds both; machine.ByName and
 // workload.ByName rebuild their whole catalogue on every call.
-func (s *Server) catalogue(key modelKey) (*machine.Profile, *workload.Spec) {
-	if e := s.readyModel(key); e != nil {
+func (s *Server) catalogue(system, program string) (*machine.Profile, *workload.Spec) {
+	if e := s.readyModel(modelKey{system: system, program: program}); e != nil {
 		return e.prof, e.spec
 	}
-	prof, _ := machine.ByName(key.system)
-	spec, _ := workload.ByName(key.program)
-	return prof, spec
+	return api.Lookup(system, program)
 }
 
 // acquire claims one admission slot, returning an idempotent release.
@@ -626,7 +601,7 @@ func (s *Server) acquire() (release func(), ok bool) {
 func (s *Server) reject(w http.ResponseWriter, route string) {
 	s.mRejected.With(route, "saturated").Inc()
 	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests,
+	api.Error(w, http.StatusTooManyRequests,
 		"saturated: %d characterisation/sweep campaigns already in flight; retry later", cap(s.sem))
 }
 
@@ -637,90 +612,10 @@ func interrupted(w http.ResponseWriter, err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, errCharAborted) || errors.Is(err, errFlightAborted) {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "request interrupted: %v", err)
+		api.Error(w, http.StatusServiceUnavailable, "request interrupted: %v", err)
 		return true
 	}
 	return false
-}
-
-// configJSON is the wire form of a machine.Config.
-type configJSON struct {
-	Nodes   int     `json:"nodes"`
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
-
-// predictionJSON is the wire form of a core.Prediction.
-type predictionJSON struct {
-	Config  configJSON `json:"config"`
-	TimeS   float64    `json:"time_s"`
-	EnergyJ float64    `json:"energy_j"`
-	PowerW  float64    `json:"power_w"`
-	UCR     float64    `json:"ucr"`
-}
-
-func toPredictionJSON(p core.Prediction) predictionJSON {
-	power := 0.0
-	if p.T > 0 {
-		power = p.E / p.T
-	}
-	return predictionJSON{
-		Config:  configJSON{Nodes: p.Cfg.Nodes, Cores: p.Cfg.Cores, FreqGHz: p.Cfg.GHz()},
-		TimeS:   p.T,
-		EnergyJ: p.E,
-		PowerW:  power,
-		UCR:     p.UCR,
-	}
-}
-
-// readBodyMax reads the whole request body under a size cap; handlers
-// decode the bytes and keep them for forwarding (and, on /v1/batch, the
-// body memo). An oversized body is 413, not a misleading "invalid JSON"
-// 400. A declared Content-Length within the cap sizes the buffer up
-// front, but never past maxBodyPresize: a client that declares megabytes
-// and sends nothing holds no more than that, and a larger body grows the
-// buffer only as its bytes arrive. The body is read to its end either
-// way, so a body shorter or longer than declared, or a chunked one,
-// reads exactly as it would through io.ReadAll.
-func readBodyMax(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	size := 512 // io.ReadAll's initial buffer
-	if cl := r.ContentLength; cl >= 0 && cl <= limit {
-		size = int(min(cl, maxBodyPresize)) + 1 // room to observe EOF without growing
-	}
-	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), make([]byte, 0, size))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return nil, false
-	}
-	return body, true
-}
-
-// maxBodyPresize bounds the buffer readBodyMax allocates on the strength
-// of a declared Content-Length alone. It covers a several-hundred-tuple
-// batch body in one allocation.
-const maxBodyPresize = 64 << 10
-
-// readAll is io.ReadAll appending into b.
-func readAll(rd io.Reader, b []byte) ([]byte, error) {
-	for {
-		n, err := rd.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)] // let append pick the growth
-		}
-	}
 }
 
 // resolve validates the model coordinates shared by predict and sweep and
@@ -732,27 +627,15 @@ func readAll(rd io.Reader, b []byte) ([]byte, error) {
 // aborted campaign is retryable (503 + Retry-After); a failed
 // characterisation of valid coordinates is ours (500).
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program, class, engine string, admitted bool) (*modelEntry, workload.Class, int, bool) {
-	if _, err := machine.ByName(system); err != nil {
-		httpError(w, http.StatusBadRequest, "unknown system %q", system)
-		return nil, "", 0, false
-	}
-	spec, err := workload.ByName(program)
+	m, err := api.ResolveModel(system, program, class)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown program %q", program)
-		return nil, "", 0, false
-	}
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	S, err := spec.Iterations(workload.Class(class))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return nil, "", 0, false
 	}
 	annotate(r.Context(),
 		slog.String("system", system),
 		slog.String("program", program),
-		slog.String("class", class),
+		slog.String("class", m.Class),
 		slog.String("engine", engine))
 	e, err := s.model(r.Context(), modelKey{system: system, program: program}, engine, admitted)
 	if err != nil {
@@ -763,10 +646,10 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program
 		if interrupted(w, err) {
 			return nil, "", 0, false
 		}
-		httpError(w, http.StatusInternalServerError, "characterisation failed: %v", err)
+		api.Error(w, http.StatusInternalServerError, "characterisation failed: %v", err)
 		return nil, "", 0, false
 	}
-	return e, workload.Class(class), S, true
+	return e, workload.Class(m.Class), m.Iters, true
 }
 
 // engineMode resolves a request's optional engine field: empty takes the
@@ -776,21 +659,10 @@ func (s *Server) engineMode(w http.ResponseWriter, engine string) (string, bool)
 		return s.defEngine, true
 	}
 	if err := exec.ValidateEngine(engine); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return "", false
 	}
 	return engine, true
-}
-
-// predictRequest is the /v1/predict body.
-type predictRequest struct {
-	System  string  `json:"system"`
-	Program string  `json:"program"`
-	Class   string  `json:"class"`
-	Nodes   int     `json:"nodes"`
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-	Engine  string  `json:"engine"` // "" = server default
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -799,13 +671,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		tDecode = time.Now()
 	}
-	body, ok := readBodyMax(w, r, 1<<20)
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	var req predictRequest
-	if err := decodePredictRequest(body, &req); err != nil {
-		badBody(w, err)
+	var req api.PredictRequest
+	if err := api.DecodePredict(body, &req); err != nil {
+		api.BadBody(w, err)
 		return
 	}
 	if rt != nil {
@@ -833,46 +705,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		cfg.Freq = e.prof.FMax()
 	}
 	if err := e.prof.ValidateModelConfig(cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid configuration: %v", err)
+		api.Error(w, http.StatusBadRequest, "invalid configuration: %v", err)
 		return
 	}
 	annotate(r.Context(), slog.String("config", cfg.String()))
 	t0 := time.Now()
 	pred, err := e.model.Predict(cfg, S)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "prediction rejected: %v", err)
+		api.Error(w, http.StatusBadRequest, "prediction rejected: %v", err)
 		return
 	}
 	tPred := time.Now()
-	s.spans.Observe("model", fmt.Sprintf("predict %s/%s %v", req.System, req.Program, cfg),
-		t0, tPred, map[string]any{"id": requestID(r.Context())})
 	if rt != nil {
 		rt.AddSpan("model", fmt.Sprintf("predict %s/%s", req.System, req.Program), t0, tPred)
 	}
-	pj := toPredictionJSON(pred)
-	s.applyAttribution(w, r, "/v1/predict", engine, makeAttribution(1, pj.TimeS, pj.EnergyJ))
+	pj := api.ToPrediction(pred)
+	s.applyAttribution(w, r, "/v1/predict", engine, makeAttribution(api.Cost{Predictions: 1, SimSeconds: pj.TimeS, EnergyJ: pj.EnergyJ}))
 	endRender := rt.Span("handler", "render")
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		System  string `json:"system"`
-		Program string `json:"program"`
-		Class   string `json:"class"`
-		predictionJSON
-	}{req.System, req.Program, string(class), pj})
+	json.NewEncoder(w).Encode(api.PredictResponse{System: req.System, Program: req.Program, Class: string(class), Prediction: pj})
 	endRender()
-}
-
-// sweepRequest is the /v1/sweep body.
-type sweepRequest struct {
-	System    string  `json:"system"`
-	Program   string  `json:"program"`
-	Class     string  `json:"class"`
-	MaxNodes  int     `json:"max_nodes"` // 0 = testbed size
-	Pow2      bool    `json:"pow2"`
-	Workers   int     `json:"workers"` // 0 = server default
-	DeadlineS float64 `json:"deadline_s"`
-	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"` // "" = server default
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -881,13 +733,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		tDecode = time.Now()
 	}
-	body, ok := readBodyMax(w, r, 1<<20)
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	var req sweepRequest
-	if err := decodeSweepRequest(body, &req); err != nil {
-		badBody(w, err)
+	var req api.SweepRequest
+	if err := api.DecodeSweep(body, &req); err != nil {
+		api.BadBody(w, err)
 		return
 	}
 	if rt != nil {
@@ -905,31 +757,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// response cache is consulted, so the cache key is canonical (an
 	// explicit max_nodes equal to the testbed size hits the same entry as
 	// an omitted one) and garbage requests never reach the cache.
-	prof, err := machine.ByName(req.System)
+	sw, err := api.ResolveSweep(&req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown system %q", req.System)
-		return
-	}
-	spec, err := workload.ByName(req.Program)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown program %q", req.Program)
-		return
-	}
-	class := req.Class
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	S, err := spec.Iterations(workload.Class(class))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-		return
-	}
-	maxNodes := req.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = prof.MaxNodes
-	}
-	if maxNodes < 1 || maxNodes > maxSweepNodes {
-		httpError(w, http.StatusBadRequest, "max_nodes %d out of range [1,%d]", req.MaxNodes, maxSweepNodes)
+		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	workers := req.Workers
@@ -942,11 +772,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	annotate(r.Context(),
 		slog.String("system", req.System),
 		slog.String("program", req.Program),
-		slog.String("class", class),
+		slog.String("class", sw.Class),
 		slog.String("engine", engine),
 		slog.Int("workers", workers))
 
-	key := sweepCacheKey(req.System, req.Program, class, maxNodes, req.Pow2, req.DeadlineS, req.BudgetJ)
+	key := sweepCacheKey(req.System, req.Program, sw.Class, sw.MaxNodes, req.Pow2, req.DeadlineS, req.BudgetJ)
 	s.respondCached(w, r, "/v1/sweep", engine, key, func() (*cachedResponse, error) {
 		// Sweeps always count against the campaign budget: even on a warm
 		// model a full-space evaluation is the heavy path. The flight
@@ -962,76 +792,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var nodes []int
-		if req.Pow2 {
-			nodes = pareto.PowersOfTwo(maxNodes)
-		} else {
-			nodes = pareto.Range(1, maxNodes)
-		}
-		cfgs := pareto.Space(nodes, e.prof.CoresPerNode, e.prof.Frequencies)
+		cfgs := sw.Space(req.Pow2)
 		t0 := time.Now()
-		points, err := pareto.EvaluateParallel(r.Context(), e.model, cfgs, S, workers)
+		points, err := pareto.EvaluateParallel(r.Context(), e.model, cfgs, sw.Iters, workers)
 		if err != nil {
 			return nil, fmt.Errorf("sweep failed: %w", err)
 		}
 		front := pareto.Frontier(points)
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("sweep %s/%s (%d cfgs)", req.System, req.Program, len(cfgs)),
-			t0, tEval, map[string]any{"id": requestID(r.Context())})
 		if rt != nil {
 			rt.AddSpan("model", fmt.Sprintf("evaluate %s/%s (%d cfgs)", req.System, req.Program, len(cfgs)), t0, tEval)
 		}
 		endRender := rt.Span("handler", "render")
-		resp := buildSweepResponse(req.System, req.Program, class, len(cfgs), front, points, req.DeadlineS, req.BudgetJ)
+		doc, cost := api.RenderSweep(api.SweepSummary{System: req.System, Program: req.Program, Class: sw.Class, Configs: len(cfgs)},
+			points, front, req.DeadlineS, req.BudgetJ)
 		endRender()
-		return resp, nil
+		// Attribution covers what the body carries: the frontier points.
+		return &cachedResponse{Doc: doc, attr: makeAttribution(cost)}, nil
 	})
-}
-
-// sweepSummary is the header of a sweep answer: everything except the
-// frontier list itself. It doubles as the NDJSON summary line, so the
-// streamed and document forms carry identical fields by construction.
-type sweepSummary struct {
-	System   string          `json:"system"`
-	Program  string          `json:"program"`
-	Class    string          `json:"class"`
-	Configs  int             `json:"configs"`
-	Points   int             `json:"frontier_points"`
-	Deadline *predictionJSON `json:"min_energy_within_deadline,omitempty"`
-	Budget   *predictionJSON `json:"min_time_within_budget,omitempty"`
-}
-
-// buildSweepResponse renders both wire shapes of a sweep answer — the
-// canonical JSON document (summary fields + frontier array) and the
-// NDJSON lines (one frontier point per line, then the summary) — by
-// marshalling each frontier point once and splicing the fragments into
-// both shapes (see spliceResponse).
-func buildSweepResponse(system, program, class string, configs int, front, points []pareto.Point, deadlineS, budgetJ float64) *cachedResponse {
-	sum := sweepSummary{System: system, Program: program, Class: class, Configs: configs, Points: len(front)}
-	if deadlineS > 0 {
-		if p, ok := pareto.MinEnergyWithinDeadline(points, deadlineS); ok {
-			pj := toPredictionJSON(p.Pred)
-			sum.Deadline = &pj
-		}
-	}
-	if budgetJ > 0 {
-		if p, ok := pareto.MinTimeWithinBudget(points, budgetJ); ok {
-			pj := toPredictionJSON(p.Pred)
-			sum.Budget = &pj
-		}
-	}
-	frontier := make([]predictionJSON, len(front))
-	var simS, energyJ float64
-	for i, p := range front {
-		frontier[i] = toPredictionJSON(p.Pred)
-		simS += frontier[i].TimeS
-		energyJ += frontier[i].EnergyJ
-	}
-	resp := spliceResponse(mustJSON(sum), "frontier", "point", marshalEach(frontier))
-	// Attribution covers what the body carries: the frontier points, in
-	// canonical order, so header sums equal a client's sum over the body.
-	resp.attr = makeAttribution(len(frontier), simS, energyJ)
-	return resp
 }
 
 // handleSystems serves the static capability document. It is rendered
@@ -1040,7 +818,7 @@ func buildSweepResponse(system, program, class string, configs int, front, point
 // revalidate with If-None-Match and get a body-less 304.
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	s.systemsOnce.Do(func() {
-		s.systemsBody = append(mustJSON(systemsDocument(s.defEngine)), '\n')
+		s.systemsBody = append(api.MustJSON(systemsDocument(s.defEngine)), '\n')
 		sum := sha256.Sum256(s.systemsBody)
 		s.systemsETag = `"` + hex.EncodeToString(sum[:8]) + `"`
 	})
@@ -1072,22 +850,14 @@ func etagMatches(header, etag string) bool {
 }
 
 // systemsDocument builds the /v1/systems payload.
-func systemsDocument(defaultEngine string) any {
-	type systemJSON struct {
-		Name         string    `json:"name"`
-		ISA          string    `json:"isa"`
-		MaxNodes     int       `json:"max_nodes"`
-		CoresPerNode int       `json:"cores_per_node"`
-		FreqsGHz     []float64 `json:"frequencies_ghz"`
-		Topology     string    `json:"topology"`
-	}
+func systemsDocument(defaultEngine string) api.Systems {
 	profiles := machine.Profiles()
 	names := make([]string, 0, len(profiles))
 	for n := range profiles {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var systems []systemJSON
+	var systems []api.System
 	for _, n := range names {
 		p := profiles[n]
 		freqs := make([]float64, len(p.Frequencies))
@@ -1098,7 +868,7 @@ func systemsDocument(defaultEngine string) any {
 		if topo == "" {
 			topo = machine.TopologyShared
 		}
-		systems = append(systems, systemJSON{
+		systems = append(systems, api.System{
 			Name: n, ISA: p.ISA, MaxNodes: p.MaxNodes, CoresPerNode: p.CoresPerNode,
 			FreqsGHz: freqs, Topology: string(topo),
 		})
@@ -1107,13 +877,8 @@ func systemsDocument(defaultEngine string) any {
 	for _, spec := range workload.Extended() {
 		programs = append(programs, spec.Name)
 	}
-	return struct {
-		Systems       []systemJSON `json:"systems"`
-		Programs      []string     `json:"programs"`
-		Classes       []string     `json:"classes"`
-		Engines       []string     `json:"engines"`
-		DefaultEngine string       `json:"default_engine"`
-	}{systems, programs, classNames(), exec.Engines(), defaultEngine}
+	return api.Systems{Systems: systems, Programs: programs, Classes: classNames(),
+		Engines: exec.Engines(), DefaultEngine: defaultEngine}
 }
 
 func classNames() []string {
@@ -1129,15 +894,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteText(w)
 }
 
-// handleDebugTrace records spans for the requested window (default 1s,
-// capped at 30s) and returns them as Chrome-trace JSON: the on-demand
-// "what is the server doing right now" probe.
+// handleDebugTrace samples every request that starts in the requested
+// window (default 1s, capped at 30s) and returns the span trees of those
+// that finished inside it as Chrome-trace JSON: the on-demand "what is
+// the server doing right now" probe, served from the trace store.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	dur := time.Second
 	if q := r.URL.Query().Get("duration"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, "bad duration %q", q)
+			api.Error(w, http.StatusBadRequest, "bad duration %q", q)
 			return
 		}
 		dur = d
@@ -1145,14 +911,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if dur > 30*time.Second {
 		dur = 30 * time.Second
 	}
-	t0 := time.Now()
-	select {
-	case <-time.After(dur):
-	case <-r.Context().Done():
+	payloads, ok := s.traces.Window(r.Context(), dur)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.spans.WriteChrome(w, t0); err != nil {
+	if err := WriteChromeTrace(w, payloads); err != nil {
 		s.log.LogAttrs(r.Context(), slog.LevelError, "trace export failed", slog.Any("err", err))
 	}
 }

@@ -118,3 +118,26 @@ func TestNewTraceUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// FuzzParseTraceparent: parsing an arbitrary header never panics, and a
+// header it accepts re-renders through Traceparent to a header that
+// parses back to the same context. The seed corpus in
+// testdata/fuzz/FuzzParseTraceparent holds the valid and rejected forms
+// of TestTraceparentRoundTrip and TestParseTraceparentRejects.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(NewTrace(true).Traceparent())
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, ok := ParseTraceparent(header)
+		if !ok {
+			return
+		}
+		wire := tc.Traceparent()
+		back, ok := ParseTraceparent(wire)
+		if !ok {
+			t.Fatalf("%q parsed, but its re-rendering %q does not", header, wire)
+		}
+		if back != tc {
+			t.Fatalf("%q parsed to %+v, its re-rendering %q to %+v", header, tc, wire, back)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hybridperf/internal/exec"
 )
@@ -367,5 +369,47 @@ func TestForwardPropagatesTrace(t *testing.T) {
 	}
 	if hasSpan(pA, "model", "characterize ") {
 		t.Errorf("proxy characterised a forwarded key: %v", spanNames(pA))
+	}
+}
+
+// TestTraceWindow: a recording window collects every payload filed while
+// it is open, up to its bound, without filing the unsampled ones under
+// their trace ids (window traffic must not evict sampled traces), and
+// recording stops when it closes.
+func TestTraceWindow(t *testing.T) {
+	ts := NewTraceStore(0)
+	if ts.Recording() {
+		t.Fatal("recording with no window open")
+	}
+	filed := make(chan struct{})
+	go func() {
+		for !ts.Recording() {
+			time.Sleep(time.Millisecond)
+		}
+		for i := 0; i < maxWindowTraces+10; i++ {
+			ts.Put(&TracePayload{TraceID: fmt.Sprintf("unsampled-%d", i)}, false)
+		}
+		ts.Put(&TracePayload{TraceID: "sampled"}, true)
+		close(filed)
+	}()
+	got, ok := ts.Window(context.Background(), 500*time.Millisecond)
+	<-filed
+	if !ok {
+		t.Fatal("window reported its context ended")
+	}
+	if len(got) != maxWindowTraces {
+		t.Errorf("window kept %d payloads, want its bound %d", len(got), maxWindowTraces)
+	}
+	if _, found := ts.Get("unsampled-0"); found {
+		t.Error("an unsampled window payload was filed under its trace id")
+	}
+	if ts.Recording() {
+		t.Error("still recording after the window closed")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok := ts.Window(ctx, time.Hour); ok || ts.Recording() {
+		t.Errorf("cancelled window: ok=%v, recording=%v", ok, ts.Recording())
 	}
 }

@@ -70,14 +70,13 @@ func WriteChrome(w io.Writer, events []Event) error {
 }
 
 // Span is a generic named wall-clock interval — the serving layer's unit
-// of tracing (HTTP request, characterisation sweep, single engine run),
-// as opposed to Event, which is a rank's virtual-time phase. Times are
-// seconds relative to the export window.
+// of tracing (HTTP request, characterisation, model evaluation), as
+// opposed to Event, which is a rank's virtual-time phase. Times are
+// seconds relative to the export's origin.
 type Span struct {
 	Name       string
 	Cat        string
-	Start, End float64        // seconds since the window origin
-	Args       map[string]any // optional annotations (request id, config, …)
+	Start, End float64 // seconds since the origin
 }
 
 // assignLanes packs spans onto display lanes (Chrome-trace thread ids):
@@ -129,29 +128,6 @@ func assignLanes(spans []Span) []int {
 	return lanes
 }
 
-// WriteChromeSpans writes wall-clock spans as a Chrome-trace JSON object,
-// reusing the same catapult format as WriteChrome: one complete ("X")
-// event per span, seconds mapped to microseconds, lanes assigned so that
-// concurrent spans never partially overlap on one row.
-func WriteChromeSpans(w io.Writer, spans []Span) error {
-	const pid, usPerSec = 0, 1e6
-	lanes := assignLanes(spans)
-	out := chromeFile{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(spans))}
-	for i, s := range spans {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: s.Name,
-			Cat:  s.Cat,
-			Ph:   "X",
-			Ts:   s.Start * usPerSec,
-			Dur:  (s.End - s.Start) * usPerSec,
-			Pid:  pid,
-			Tid:  lanes[i],
-			Args: s.Args,
-		})
-	}
-	return json.NewEncoder(w).Encode(out)
-}
-
 // ProcessTrace is one process's lane group in a stitched multi-process
 // export: the wall-clock spans one hop (gateway or shard) recorded for a
 // request, plus optionally an engine phase timeline that hop attached.
@@ -167,20 +143,26 @@ type ProcessTrace struct {
 }
 
 // WriteChromeProcesses writes a stitched multi-process Chrome-trace JSON
-// object: each ProcessTrace becomes one pid (named by a process_name
-// metadata row) whose span lanes come first and whose engine phase
+// object: each ProcessTrace becomes one pid whose span lanes come first
+// (one complete "X" event per span, lanes assigned so that concurrent
+// spans never partially overlap on one row) and whose engine phase
 // timeline, if any, renders as per-rank rows after them — every process
-// on one shared time axis. This is the gateway's stitched
-// /debug/trace/{traceid} export: one trace id, gateway fan-out spans,
-// per-shard handler spans and the sampled engine run, in one file.
+// on one shared time axis. With more than one process, a process_name
+// metadata row names each; a single process needs no name to tell it
+// apart. This is the gateway's stitched /debug/trace/{traceid} export —
+// one trace id, gateway fan-out spans, per-shard handler spans and the
+// sampled engine run, in one file — and a shard's
+// /debug/trace?duration window.
 func WriteChromeProcesses(w io.Writer, procs []ProcessTrace) error {
 	const usPerSec = 1e6
-	out := chromeFile{DisplayTimeUnit: "ms"}
+	out := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	for pid, p := range procs {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": p.Name},
-		})
+		if len(procs) > 1 {
+			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+				Name: "process_name", Ph: "M", Pid: pid,
+				Args: map[string]any{"name": p.Name},
+			})
+		}
 		lanes := assignLanes(p.Spans)
 		spanLanes := 0
 		for i, s := range p.Spans {
@@ -190,7 +172,7 @@ func WriteChromeProcesses(w io.Writer, procs []ProcessTrace) error {
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
 				Ts: s.Start * usPerSec, Dur: (s.End - s.Start) * usPerSec,
-				Pid: pid, Tid: lanes[i], Args: s.Args,
+				Pid: pid, Tid: lanes[i],
 			})
 		}
 		if len(p.Phases) == 0 {

@@ -63,18 +63,20 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-func TestWriteChromeSpans(t *testing.T) {
+// TestWriteChromeProcesses: span lanes within a process, and process
+// names only where there is more than one process to tell apart.
+func TestWriteChromeProcesses(t *testing.T) {
 	// A request tree: the http span contains a characterize span which
 	// contains two concurrent run spans that partially overlap each other.
 	spans := []Span{
-		{Name: "http POST /v1/predict", Cat: "http", Start: 0, End: 1, Args: map[string]any{"id": "r-1"}},
+		{Name: "http POST /v1/predict", Cat: "http", Start: 0, End: 1},
 		{Name: "characterize", Cat: "model", Start: 0.1, End: 0.9},
 		{Name: "run A", Cat: "exec", Start: 0.2, End: 0.6},
 		{Name: "run B", Cat: "exec", Start: 0.4, End: 0.8},
 		{Name: "http GET /metrics", Cat: "http", Start: 1.5, End: 1.6},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeSpans(&buf, spans); err != nil {
+	if err := WriteChromeProcesses(&buf, []ProcessTrace{{Name: "shard", Spans: spans}}); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -106,8 +108,24 @@ func TestWriteChromeSpans(t *testing.T) {
 	if first.Ts != 0 || first.Dur != 1e6 {
 		t.Fatalf("seconds must map to microseconds: %+v", first)
 	}
-	if id, _ := first.Args["id"].(string); id != "r-1" {
-		t.Fatalf("span args must survive export: %+v", first.Args)
+
+	buf.Reset()
+	procs := []ProcessTrace{{Name: "gateway", Spans: spans[:1]}, {Name: "shard", Spans: spans[1:2]}}
+	if err := WriteChromeProcesses(&buf, procs); err != nil {
+		t.Fatal(err)
+	}
+	doc = chromeDoc{}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]string{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "M" && e.Name == "process_name" {
+			names[e.Pid], _ = e.Args["name"].(string)
+		}
+	}
+	if names[0] != "gateway" || names[1] != "shard" || len(names) != 2 {
+		t.Errorf("process names %v, want gateway and shard", names)
 	}
 }
 
