@@ -20,6 +20,7 @@ import (
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/exec"
 	"hybridperf/internal/experiments"
 	"hybridperf/internal/machine"
@@ -153,11 +154,7 @@ func BenchmarkCharacterize(b *testing.B) {
 // simulation budgets.
 func BenchmarkDESEvents(b *testing.B) {
 	k := des.NewKernel()
-	k.Spawn("ticker", func(p *des.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1)
-		}
-	})
+	k.Spawn("ticker", destest.Script(destest.Repeat(b.N, destest.Advance(1))))
 	if err := k.Run(math.Inf(1)); err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // CI: it runs the reference benchmark (exec.BenchmarkRun — one class-S SP
 // measurement on 8×8 cores) with -benchmem and fails if the best observed
 // ns/op or allocs/op regresses more than an allowed factor over the
-// recorded reference in BENCH_2.json. The time gate is deliberately loose
+// recorded reference in BENCH_3.json. The time gate is deliberately loose
 // (default 25 %) so shared-runner noise passes; the allocation gate is
 // tight (default 10 %) because allocation counts are deterministic — a
 // breach there means instrumentation or a refactor started allocating on
@@ -11,7 +11,7 @@
 //
 // Usage (CI):
 //
-//	go run ./cmd/benchgate -ref BENCH_2.json
+//	go run ./cmd/benchgate -ref BENCH_3.json -key exec_BenchmarkRunSequential_SP_classS_8x8
 package main
 
 import (
@@ -26,8 +26,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
 	var (
-		ref         = flag.String("ref", "BENCH_2.json", "reference benchmark record")
-		key         = flag.String("key", "exec_BenchmarkRun_SP_classS_8x8", "reference entry under \"after\"")
+		ref         = flag.String("ref", "BENCH_3.json", "reference benchmark record")
+		key         = flag.String("key", "exec_BenchmarkRunSequential_SP_classS_8x8", "reference entry under \"after\"")
 		bench       = flag.String("bench", "BenchmarkRun$", "benchmark pattern to run")
 		pkg         = flag.String("pkg", "./internal/exec", "package holding the benchmark")
 		factor      = flag.Float64("factor", 1.25, "allowed ns/op regression factor over the reference")

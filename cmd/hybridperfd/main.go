@@ -35,11 +35,9 @@
 // always served locally). Ownership is advisory — a forward that fails
 // at the transport falls back to serving locally.
 //
-// Predict and sweep bodies accept an optional "engine" field selecting
-// the simulation engine ("sequential", the faster default, or
-// "goroutine", the reference — bit-identical results); -default-engine sets the
-// server-wide default and the engine_* /metrics families are labelled
-// per mode.
+// Request bodies accept an optional "engine" field for compatibility: it
+// is a no-op alias ("", "sequential" and "goroutine" all run the one
+// simulation engine; any other value is a 400).
 //
 // Observability surface: GET /metrics (Prometheus text exposition of
 // request counters/latency histograms plus the simulation engine's own
@@ -72,7 +70,6 @@ import (
 	"syscall"
 	"time"
 
-	"hybridperf/internal/exec"
 	"hybridperf/internal/modelstore"
 	"hybridperf/internal/telemetry"
 )
@@ -87,7 +84,6 @@ func main() {
 		preload  = flag.String("preload", "", "comma-separated system/program pairs to characterise before serving, e.g. xeon/SP,arm/CP")
 		maxCamp  = flag.Int("max-campaigns", 0, "max concurrent characterisation/sweep campaigns; excess requests get 429 (0 = 4)")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline cancelling in-flight work, e.g. 30s (0 = none)")
-		defEng   = flag.String("default-engine", "", "simulation engine for requests without an \"engine\" field: sequential or goroutine (default $HYBRIDPERF_ENGINE, then sequential)")
 		cacheSz  = flag.Int("response-cache-size", 512, "sweep/batch response cache entries; identical in-flight requests collapse onto one computation (0 = disabled)")
 		cacheTTL = flag.Duration("response-cache-ttl", 5*time.Minute, "response cache entry lifetime (0 = entries never expire)")
 		storeDir = flag.String("model-store", "", "directory for persistent characterisation snapshots; warm-loaded at boot, written after every campaign (empty = no persistence)")
@@ -98,10 +94,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := exec.ValidateEngine(*defEng); err != nil {
-		fmt.Fprintf(os.Stderr, "hybridperfd: bad -default-engine: %v\n", err)
-		os.Exit(2)
-	}
 	if *advSlow < 0 || *advSlow >= 1 {
 		fmt.Fprintf(os.Stderr, "hybridperfd: bad -advise-slowdown %g (want a fraction in (0,1))\n", *advSlow)
 		os.Exit(2)
@@ -140,7 +132,6 @@ func main() {
 		Logger:            logger,
 		MaxCampaigns:      *maxCamp,
 		RequestTimeout:    *reqTO,
-		DefaultEngine:     *defEng,
 		ResponseCache:     *cacheSz,
 		ResponseCacheTTL:  *cacheTTL,
 		TraceSample:       *traceSmp,
@@ -189,7 +180,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "workers", *workers, "seed", *seed, "engine", srv.DefaultEngine())
+	logger.Info("serving", "addr", *addr, "workers", *workers, "seed", *seed)
 
 	select {
 	case err := <-errc:

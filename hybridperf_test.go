@@ -2,6 +2,7 @@ package hybridperf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -73,6 +74,55 @@ func TestPredictMatchesSimulationWithin15Percent(t *testing.T) {
 	t.Logf("BT/Xeon: mean time error %.1f%%, energy %.1f%%", terr, eerr)
 	if terr > 15 || eerr > 15 {
 		t.Fatalf("facade validation errors %.1f%%/%.1f%% exceed 15%%", terr, eerr)
+	}
+}
+
+// TestModelMatchesDESProperty is the paper's headline claim as a property
+// over the served catalogue: for a seeded random sample of 32 (program,
+// n, c, f) configurations per system, drawn from every catalogue program
+// and the system's full node, core and DVFS ranges, the mean
+// |model - DES| / DES of the class-A time and metered energy stays under
+// the 15% of Table 2. The seed and sample size are fixed; a failure is a
+// model or simulator regression, not a reason to redraw.
+func TestModelMatchesDESProperty(t *testing.T) {
+	const samples = 32
+	rnd := rand.New(rand.NewSource(2015))
+	progs := ExtendedPrograms()
+	for _, sys := range []*System{XeonE5(), ARMCortexA9()} {
+		models := map[string]*Model{}
+		var sumT, sumE float64
+		for i := 0; i < samples; i++ {
+			prog := progs[rnd.Intn(len(progs))]
+			cfg := Config{
+				Nodes: 1 + rnd.Intn(sys.MaxNodes),
+				Cores: 1 + rnd.Intn(sys.CoresPerNode),
+				Freq:  sys.Frequencies[rnd.Intn(len(sys.Frequencies))],
+			}
+			seed := rnd.Int63()
+			m, ok := models[prog.Name]
+			if !ok {
+				var err error
+				if m, err = Characterize(sys, prog, charOpts); err != nil {
+					t.Fatal(err)
+				}
+				models[prog.Name] = m
+			}
+			pred, err := m.Predict(cfg, ClassA)
+			if err != nil {
+				t.Fatalf("%s %s %v: %v", sys.Name, prog.Name, cfg, err)
+			}
+			meas, err := Simulate(sys, prog, ClassA, cfg, seed)
+			if err != nil {
+				t.Fatalf("%s %s %v: %v", sys.Name, prog.Name, cfg, err)
+			}
+			sumT += relErr(pred.T, meas.Time)
+			sumE += relErr(pred.E, meas.MeasuredEnergy)
+		}
+		meanT, meanE := sumT/samples, sumE/samples
+		t.Logf("%s: mean |model-DES|/DES over %d random configs: time %.1f%%, energy %.1f%%", sys.Name, samples, meanT, meanE)
+		if meanT >= 15 || meanE >= 15 {
+			t.Errorf("%s: mean errors time %.1f%% / energy %.1f%% not under the 15%% of Table 2", sys.Name, meanT, meanE)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ type PredictRequest struct {
 	Nodes   int     `json:"nodes"`
 	Cores   int     `json:"cores"`
 	FreqGHz float64 `json:"freq_ghz"`
-	Engine  string  `json:"engine"` // "" = server default
+	Engine  string  `json:"engine"` // no-op alias, see CheckEngine
 }
 
 // PredictResponse is the /v1/predict answer.
@@ -98,11 +98,11 @@ type BatchTuple struct {
 }
 
 // BatchRequest is the /v1/batch body: many tuples, one class, vectorised
-// through the sweep engine. Workers and engine tune how the answer is
-// computed, never what it is.
+// through the sweep engine. Workers tunes how the answer is computed,
+// never what it is.
 type BatchRequest struct {
 	Class   string       `json:"class"`
-	Engine  string       `json:"engine"`  // "" = server default
+	Engine  string       `json:"engine"`  // no-op alias, see CheckEngine
 	Workers int          `json:"workers"` // 0 = server default
 	Tuples  []BatchTuple `json:"tuples"`
 }
@@ -134,7 +134,7 @@ type SweepRequest struct {
 	Workers   int     `json:"workers"` // 0 = server default
 	DeadlineS float64 `json:"deadline_s"`
 	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"` // "" = server default
+	Engine    string  `json:"engine"` // no-op alias, see CheckEngine
 }
 
 // SweepSummary is the header of a sweep answer: everything except the
@@ -176,7 +176,7 @@ type AdviseRequest struct {
 	// phase-predictive governor's budget and the recommendation
 	// cut-off); 0 takes the server default.
 	MaxSlowdownPct float64 `json:"max_slowdown_pct"`
-	Engine         string  `json:"engine"` // "" = server default
+	Engine         string  `json:"engine"` // no-op alias, see CheckEngine
 }
 
 // AdviseSummary is the header of an advise answer: everything except the

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/pareto"
 	"hybridperf/internal/workload"
@@ -24,13 +23,20 @@ func Class(class string) string {
 	return class
 }
 
-// CheckEngine rejects an unknown simulation engine name; empty (the
-// server default) is valid.
+// Engine names the one simulation engine, as /v1/systems reports it.
+const Engine = "sequential"
+
+// CheckEngine validates a request's "engine" field. The field is a no-op
+// alias kept so existing clients keep working: empty, Engine and
+// "goroutine" (the reference engine the simulator once also had) all run
+// the one engine; any other value is rejected with the error clients
+// have always received for an unknown engine.
 func CheckEngine(engine string) error {
-	if engine == "" {
+	switch engine {
+	case "", Engine, "goroutine":
 		return nil
 	}
-	return exec.ValidateEngine(engine)
+	return fmt.Errorf("exec: unknown engine %q (want %q or %q)", engine, "goroutine", Engine)
 }
 
 // Catalogue resolves a system and a program name to their profile and

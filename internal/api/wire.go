@@ -14,7 +14,6 @@ import (
 	"unicode/utf8"
 
 	"hybridperf/internal/dvfs"
-	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -644,7 +643,7 @@ var wireNames = func() map[string]string {
 	for _, c := range workload.Classes() {
 		m[string(c)] = string(c)
 	}
-	for _, e := range exec.Engines() {
+	for _, e := range []string{Engine, "goroutine"} {
 		m[e] = e
 	}
 	for _, p := range dvfs.Policies() {

@@ -43,9 +43,8 @@ type AdviseOptions struct {
 	MaxSlowdown float64
 	Seed        int64
 	Workers     int // parallel policy runs (default 4)
-	// Engine, Ctx, SharedMetrics and Observe thread through to every
-	// simulation exactly as in Options.
-	Engine        string
+	// Ctx, SharedMetrics and Observe thread through to every simulation
+	// exactly as in Options.
 	Ctx           context.Context
 	SharedMetrics *metrics.Engine
 	Observe       func(label string, start, end time.Time)
@@ -170,14 +169,11 @@ func governorFor(policy string, prof *machine.Profile, cfg machine.Config, prior
 // the ungoverned DES once at that point (accumulating the per-rank phase
 // totals that seed the phase-predictive governor), then replays the run
 // once per policy and reports the deltas. Everything is deterministic for
-// a fixed seed, on either engine.
+// a fixed seed.
 func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt AdviseOptions) (*Advice, error) {
 	opt.fill()
 	S, err := spec.Iterations(opt.Class)
 	if err != nil {
-		return nil, err
-	}
-	if err := exec.ValidateEngine(opt.Engine); err != nil {
 		return nil, err
 	}
 	for _, p := range opt.Policies {
@@ -215,7 +211,6 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		Class:         opt.Class,
 		Cfg:           static.Cfg,
 		Seed:          opt.Seed,
-		Engine:        opt.Engine,
 		Ctx:           opt.Ctx,
 		SharedMetrics: opt.SharedMetrics,
 		Observe:       opt.Observe,

@@ -7,7 +7,6 @@ import (
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/dvfs"
-	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -76,23 +75,14 @@ func TestAdvise(t *testing.T) {
 		t.Errorf("attribution runs = %d, want %d", adv.Runs, 1+len(adv.Policies))
 	}
 
-	// Deterministic and engine-independent: the whole advice, schedules
-	// included, must reproduce bit-for-bit on either engine.
+	// Deterministic: the whole advice, schedules included, must reproduce
+	// bit-for-bit.
 	again, err := Advise(m, prof, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(adv, again) {
 		t.Error("advice is not deterministic across repeated evaluations")
-	}
-	seqOpt := opt
-	seqOpt.Engine = "sequential"
-	seq, err := Advise(m, prof, spec, seqOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(adv, seq) {
-		t.Error("advice differs between goroutine and sequential engines")
 	}
 }
 
@@ -113,14 +103,14 @@ func TestAdviseValidation(t *testing.T) {
 }
 
 // TestAdviseAllocBudget pins the allocation cost of one advise — four DES
-// runs plus the static sweep — on the sequential engine. The baseline's
+// runs plus the static sweep. The baseline's
 // phase totals are accumulated as the run goes, so the per-rank timeline
 // is never stored; keeping a trace just to summarise it, or a resource
 // queue that reallocates per enqueue, each blow the budget alone.
 func TestAdviseAllocBudget(t *testing.T) {
 	const budget = 2000
 	m, prof, spec := adviseFixture(t)
-	opt := AdviseOptions{Class: workload.ClassS, Nodes: 4, Cores: 4, Seed: 42, Workers: 2, Engine: exec.EngineSequential}
+	opt := AdviseOptions{Class: workload.ClassS, Nodes: 4, Cores: 4, Seed: 42, Workers: 2}
 	var adviseErr error
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := Advise(m, prof, spec, opt); err != nil {

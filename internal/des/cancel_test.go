@@ -1,19 +1,22 @@
-package des
+package des_test
 
 import (
 	"context"
 	"errors"
 	"math"
 	"testing"
+
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
 // TestRunPreCancelledContext: a context cancelled before Run stops the
 // run at the upfront check — no process body ever executes, and the
 // error unwraps to context.Canceled.
 func TestRunPreCancelledContext(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	ran := false
-	k.Spawn("p", func(p *Proc) { ran = true })
+	k.Spawn("p", destest.Script(destest.Do(func(*des.Proc) { ran = true })))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	k.SetContext(ctx)
@@ -29,32 +32,34 @@ func TestRunPreCancelledContext(t *testing.T) {
 	}
 }
 
+// cancellingTicker is a process advancing one second total times,
+// cancelling at step 10 and counting its steps in *steps.
+func cancellingTicker(total int, cancel func(), steps *int) des.Machine {
+	return destest.Script(destest.Repeat(total,
+		destest.Do(func(*des.Proc) {
+			if *steps == 10 {
+				cancel()
+			}
+		}),
+		destest.Advance(1),
+		destest.Do(func(*des.Proc) { *steps++ }),
+	))
+}
+
 // TestCancelStopsEventDispatch cancels mid-run from inside the
 // simulation: two processes ping-pong through the event queue (so every
 // step is a real dispatch), one of them cancels partway, and the run
 // must stop within one poll interval instead of draining the remaining
 // work.
 func TestCancelStopsEventDispatch(t *testing.T) {
-	const total = 100 * ctxPollInterval
+	const total = 100 * des.CtxPollInterval
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	k := NewKernel()
+	k := des.NewKernel()
 	k.SetContext(ctx)
 	steps := 0
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			if i == 10 {
-				cancel()
-			}
-			p.Advance(1)
-			steps++
-		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			p.Advance(1)
-		}
-	})
+	k.Spawn("a", cancellingTicker(total, cancel, &steps))
+	k.Spawn("b", destest.Script(destest.Repeat(total, destest.Advance(1))))
 	err := k.Run(math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
@@ -62,38 +67,30 @@ func TestCancelStopsEventDispatch(t *testing.T) {
 	if steps >= total {
 		t.Fatalf("process completed all %d steps despite cancellation", total)
 	}
-	// The poll runs every ctxPollInterval steps, so the overshoot past
+	// The poll runs every CtxPollInterval steps, so the overshoot past
 	// the cancel point is bounded.
-	if steps > 10+2*ctxPollInterval {
+	if steps > 10+2*des.CtxPollInterval {
 		t.Fatalf("run continued for %d steps after cancelling at step 10", steps)
 	}
 }
 
 // TestCancelStopsLookaheadFastPath pins the single-process case: a lone
 // compute loop advances through the lookahead fast path and dispatches
-// almost no events, so the poll must ride Advance itself for the
+// almost no events, so the poll must ride AdvanceArm itself for the
 // cancellation to land.
 func TestCancelStopsLookaheadFastPath(t *testing.T) {
-	const total = 100 * ctxPollInterval
+	const total = 100 * des.CtxPollInterval
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	k := NewKernel()
+	k := des.NewKernel()
 	k.SetContext(ctx)
 	steps := 0
-	k.Spawn("solo", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			if i == 10 {
-				cancel()
-			}
-			p.Advance(1)
-			steps++
-		}
-	})
+	k.Spawn("solo", cancellingTicker(total, cancel, &steps))
 	err := k.Run(math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
-	if steps > 10+2*ctxPollInterval {
+	if steps > 10+2*des.CtxPollInterval {
 		t.Fatalf("fast path ran %d steps after cancelling at step 10", steps)
 	}
 }
@@ -103,17 +100,16 @@ func TestCancelStopsLookaheadFastPath(t *testing.T) {
 // not perturb the simulation in any observable way.
 func TestUncancelledContextBitIdentical(t *testing.T) {
 	run := func(ctx context.Context) (float64, uint64) {
-		k := NewKernel()
+		k := des.NewKernel()
 		if ctx != nil {
 			k.SetContext(ctx)
 		}
 		for i := 0; i < 4; i++ {
-			i := i
-			k.Spawn("p", func(p *Proc) {
-				for s := 0; s < 3000; s++ {
-					p.Advance(float64(1 + (i+s)%7))
-				}
-			})
+			var ops []destest.Op
+			for s := 0; s < 3000; s++ {
+				ops = append(ops, destest.Advance(float64(1+(i+s)%7)))
+			}
+			k.Spawn("p", destest.Script(ops...))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
@@ -133,40 +129,13 @@ func TestUncancelledContextBitIdentical(t *testing.T) {
 // TestSetContextBackgroundDisablesPolling: contexts that can never be
 // cancelled (nil Done channel) must not arm the poll at all.
 func TestSetContextBackgroundDisablesPolling(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	k.SetContext(context.Background())
-	if k.ctx != nil {
+	if k.PollArmed() {
 		t.Fatal("Background context armed the cancellation poll")
 	}
 	k.SetContext(nil)
-	if k.ctx != nil {
+	if k.PollArmed() {
 		t.Fatal("nil context armed the cancellation poll")
-	}
-}
-
-// TestCancelledRunReapsGoroutines: after a cancelled run plus Shutdown,
-// every process goroutine (including parked pool daemons) must be done.
-func TestCancelledRunReapsGoroutines(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	k := NewKernel()
-	k.SetContext(ctx)
-	k.Spawn("worker", func(p *Proc) {
-		for i := 0; ; i++ {
-			if i == 5 {
-				cancel()
-			}
-			k.Go("task", func(tp *Proc, _ any) { tp.Advance(1) }, nil)
-			p.Advance(2)
-		}
-	})
-	if err := k.Run(math.Inf(1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run() = %v, want context.Canceled", err)
-	}
-	k.Shutdown()
-	for _, p := range k.procs {
-		if !p.done {
-			t.Fatalf("process %q still live after cancelled run + Shutdown", p.name)
-		}
 	}
 }

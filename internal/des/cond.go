@@ -7,17 +7,10 @@ type Cond struct {
 	waiters []*Proc
 }
 
-// Wait halts the calling process until the next Broadcast.
-// Callers should loop: for !pred() { cond.Wait(p) }.
-func (c *Cond) Wait(p *Proc) {
-	c.WaitArm(p)
-	p.park()
-}
-
-// WaitArm is the sequential form of Wait: it enqueues p as a waiter and
-// halts it without suspending. The calling Machine must yield (return
-// false) immediately after arming and re-check its predicate on re-entry,
-// since Broadcast wakes every waiter.
+// WaitArm enqueues p as a waiter and halts it until the next Broadcast.
+// The calling Machine must yield (return false) immediately after arming
+// and re-check its predicate on re-entry, since Broadcast wakes every
+// waiter: if !pred() { c.WaitArm(p); return false }.
 func (c *Cond) WaitArm(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.HaltArm()
@@ -37,31 +30,3 @@ func (c *Cond) Broadcast() {
 
 // Waiting reports the number of processes blocked on the condition.
 func (c *Cond) Waiting() int { return len(c.waiters) }
-
-// Barrier synchronises a fixed-size party of simulated processes: each
-// arrival blocks until all n have arrived, then all proceed. Reusable for
-// successive rounds (like a pthreads/OpenMP barrier).
-type Barrier struct {
-	n       int
-	arrived int
-	cond    Cond
-}
-
-// NewBarrier creates a barrier for a party of n processes (n >= 1).
-func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
-
-// Await blocks the calling process until n processes have arrived.
-// It returns true for the last arrival (the one that released the party).
-func (b *Barrier) Await(p *Proc) bool {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.cond.Broadcast()
-		return true
-	}
-	b.cond.Wait(p)
-	return false
-}
-
-// Party returns the barrier's party size.
-func (b *Barrier) Party() int { return b.n }

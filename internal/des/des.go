@@ -1,40 +1,32 @@
-// Package des implements a deterministic discrete-event simulation kernel
-// with two interchangeable process engines.
+// Package des implements a deterministic discrete-event simulation kernel.
 //
-// The kernel advances a virtual clock over a priority queue of events. In
-// the reference goroutine engine (NewKernel), simulated processes are
-// ordinary Go functions running in their own goroutines; they interact with
-// virtual time exclusively through their *Proc handle (Advance, Halt,
-// resource and condition primitives). In the sequential engine
-// (NewSequentialKernel, see seq.go), process bodies are explicit
-// continuations (Machine values) dispatched by one scheduler loop on the
-// caller's goroutine — no channel handoff, no goroutine parking. Both
-// engines share the queues, the sequence-number discipline and the fast
-// paths below, so a run is bit-for-bit identical on either. At any
-// instant exactly one process executes, so process code needs no locking and
-// every run with the same inputs is bit-for-bit reproducible: ties in event
-// time are broken by a monotone sequence number.
+// The kernel advances a virtual clock over a priority queue of events.
+// Simulated processes are explicit continuations (Machine values): one
+// scheduler loop on the Run caller's goroutine pops the next event and
+// calls its process's Step inline, which runs until the process blocks on
+// virtual time or completes. Blocking decomposes into the Arm primitives
+// (AdvanceArm, HaltArm, Cond.WaitArm, Resource.AcquireArm): each either
+// completes synchronously or arms the process's next wake, after which
+// the Machine returns false and re-enters at its next Step. At any
+// instant exactly one process executes, so process code needs no locking
+// and every run with the same inputs is bit-for-bit reproducible: ties in
+// event time are broken by a monotone sequence number.
 //
 // The event queue is split for speed along the two access patterns the
 // simulator generates:
 //
-//   - future events (Advance with dt > 0) go through a typed 4-ary min-heap
-//     with inlined sift operations — no interface boxing, no per-event
-//     allocation;
-//   - immediate events (Wake, Spawn, Advance(0)) go through a FIFO ring:
-//     they are scheduled at the current instant with monotonically
-//     increasing sequence numbers, so FIFO order *is* (time, seq) order and
-//     they never touch the heap.
+//   - future events (AdvanceArm with dt > 0) go through a typed 4-ary
+//     min-heap with inlined sift operations — no interface boxing, no
+//     per-event allocation;
+//   - immediate events (Wake, Spawn, AdvanceArm(0)) go through a FIFO
+//     ring: they are scheduled at the current instant with monotonically
+//     increasing sequence numbers, so FIFO order *is* (time, seq) order
+//     and they never touch the heap.
 //
-// Dispatch takes the lexicographic minimum of the two queue heads. Control
-// transfers directly from the parking process to the next one dispatched —
-// one goroutine handoff per event instead of a round-trip through a
-// scheduler goroutine — and two fast paths eliminate the handoff entirely:
-//
-//   - Advance lookahead: when no pending event precedes the advancing
-//     process's wake, the clock just moves forward — no event, no handoff;
-//   - self-dispatch: when the next event dispatched belongs to the parking
-//     process itself, park returns immediately.
+// Dispatch takes the lexicographic minimum of the two queue heads. The
+// lookahead fast path skips the queue entirely: when no pending event
+// precedes an advancing process's wake, AdvanceArm just moves the clock
+// and the process keeps executing.
 package des
 
 import (
@@ -54,12 +46,6 @@ import (
 // of a run to microseconds of real time.
 const ctxPollInterval = 1024
 
-// abortSignal is the panic value injected into processes when the kernel
-// aborts a run (another process failed, the caller stopped the kernel, or
-// Shutdown reaps pooled workers). It is recovered by the process wrapper;
-// user code never observes it.
-type abortSignal struct{}
-
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
@@ -71,23 +57,20 @@ type Kernel struct {
 	immH    int     // imm head index
 	horizon float64 // the active Run's until bound (limits the fast path)
 
-	main       chan struct{} // resume channel of the Run caller
-	live       int           // non-daemon processes spawned and not yet finished
-	busyGo     int           // pooled task runners currently executing a task
+	live       int // non-daemon processes spawned and not yet finished
+	busyGo     int // pooled task runners currently executing a task
 	procs      []*Proc
 	pool       []*Proc // parked pooled task runners (LIFO)
 	dispatched uint64
 
-	failure error // first process panic, if any
-	aborted bool
-	seqMode bool // sequential engine: Machine continuations, no goroutines
+	failure error // first process panic or cancellation, if any
 
 	// ctx, when non-nil, cancels the run cooperatively: the dispatch loop
 	// polls ctx.Err() every ctxPollInterval steps and records a
-	// cancellation as the run failure, unwinding through the ordinary
-	// abort path. Polling never touches the event queues or sequence
-	// numbers, so an uncancelled run is bit-identical with or without a
-	// context attached.
+	// cancellation as the run failure, which stops dispatch. Polling
+	// never touches the event queues or sequence numbers, so an
+	// uncancelled run is bit-identical with or without a context
+	// attached.
 	ctx       context.Context
 	ctxBudget int
 
@@ -98,9 +81,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
-func NewKernel() *Kernel {
-	return &Kernel{main: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now reports the current virtual time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
@@ -113,17 +94,14 @@ func (k *Kernel) Err() error { return k.failure }
 func (k *Kernel) Events() uint64 { return k.dispatched }
 
 // Procs reports the number of logical processes ever spawned, including
-// daemons and pooled task runners — goroutines on the goroutine engine,
-// continuation records on the sequential engine (both engines create the
-// same set). With persistent worker pools this stays near the process
-// count of the simulated system instead of growing with the event count.
+// daemons and pooled task runners. With persistent worker pools this stays
+// near the process count of the simulated system instead of growing with
+// the event count.
 func (k *Kernel) Procs() int { return len(k.procs) }
 
 // SetContext attaches a cancellation context to the kernel (nil, or a
 // context that can never be cancelled, detaches). A cancelled context
-// stops the run mid-simulation: Run returns an error wrapping ctx.Err()
-// and every process goroutine — pooled daemons included — is reaped by
-// the abort, so Shutdown afterwards is a no-op but remains safe to call.
+// stops the run mid-simulation: Run returns an error wrapping ctx.Err().
 func (k *Kernel) SetContext(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		k.ctx = nil
@@ -224,27 +202,31 @@ func (k *Kernel) heapPop() event {
 	return top
 }
 
+// Machine is a simulated process in continuation form: Step resumes the
+// process and runs it until it either blocks on virtual time (false) or
+// completes (true). All state that must survive a block lives in the
+// Machine; the kernel calls Step again at each dispatch of the process.
+// A Machine that armed a block (an Arm primitive returned false or was
+// invoked) must return false without further simulation calls.
+type Machine interface {
+	Step(p *Proc) bool
+}
+
 // Proc is the handle through which a simulated process interacts with
-// virtual time. A Proc is only valid inside the function passed to Spawn
-// and must not be shared across simulated processes.
+// virtual time. It is passed to every Step of the process's Machine and
+// must not be shared across simulated processes.
 type Proc struct {
 	k       *Kernel
 	name    string
-	resume  chan struct{}
 	wakeSeq uint64 // sequence of the pending wake event; 0 when halted
 	halted  bool
 	done    bool
 	daemon  bool // excluded from liveness/deadlock accounting
 
-	// Pooled task runner state (see Kernel.Go).
-	task    func(*Proc, any)
-	taskCtx any
-
-	// Sequential-engine state (see seq.go). body is the process's
-	// continuation; pooled runners carry their current task in seqTask.
-	body    Machine
-	seqTask Machine
-	pooled  bool
+	// body is the process's continuation; pooled task runners (see
+	// Kernel.Go) have none and carry their current task in task instead.
+	body Machine
+	task Machine
 }
 
 // Name returns the label the process was spawned with.
@@ -256,81 +238,36 @@ func (p *Proc) Now() float64 { return p.k.now }
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Spawn registers fn as a new simulated process that becomes runnable at
-// the current virtual time. fn runs in its own goroutine but only while the
-// kernel has scheduled it, so fn may freely touch state shared with other
-// simulated processes.
-func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	return k.spawn(name, false, fn)
+// Spawn registers m as a new simulated process that becomes runnable at
+// the current virtual time.
+func (k *Kernel) Spawn(name string, m Machine) *Proc {
+	return k.spawn(name, false, m)
 }
 
-// SpawnDaemon is Spawn for service processes that outlive the workload they
-// serve: persistent worker-pool threads, pooled couriers. Daemons do not
-// count toward liveness, so a run whose only remaining processes are parked
-// daemons completes instead of reporting a deadlock; their goroutines are
-// reaped by Shutdown (or any abort).
-func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
-	return k.spawn(name, true, fn)
+// SpawnDaemon is Spawn for service processes that outlive the workload
+// they serve: persistent worker-pool threads. Daemons do not count toward
+// liveness, so a run whose only remaining processes are parked daemons
+// completes instead of reporting a deadlock.
+func (k *Kernel) SpawnDaemon(name string, m Machine) *Proc {
+	return k.spawn(name, true, m)
 }
 
-func (k *Kernel) spawn(name string, daemon bool, fn func(*Proc)) *Proc {
-	if k.seqMode {
-		panic("des: goroutine Spawn on a sequential kernel (use SpawnSeq)")
-	}
-	p := &Proc{k: k, name: name, daemon: daemon, resume: make(chan struct{})}
+func (k *Kernel) spawn(name string, daemon bool, m Machine) *Proc {
+	p := &Proc{k: k, name: name, daemon: daemon, body: m}
 	k.procs = append(k.procs, p)
 	if !daemon {
 		k.live++
 	}
 	k.schedule(p, k.now)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); !ok && k.failure == nil {
-					k.failure = fmt.Errorf("des: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.done = true
-			if !p.daemon {
-				k.live--
-			}
-			k.handoff()
-		}()
-		<-p.resume // wait for first dispatch
-		if k.aborted {
-			panic(abortSignal{})
-		}
-		fn(p)
-	}()
 	return p
 }
 
-// handoff transfers control from an exiting process to the next dispatched
-// process, or back to the Run caller when nothing is runnable (queue empty,
-// horizon reached, failure recorded, or the kernel is aborting).
-func (k *Kernel) handoff() {
-	if !k.aborted && k.failure == nil {
-		if next := k.dispatchNext(); next != nil {
-			if k.mx != nil {
-				k.mx.Handoffs.Inc()
-			}
-			next.resume <- struct{}{}
-			return
-		}
-	}
-	k.main <- struct{}{}
-}
-
-// Go runs fn(p, ctx) as a short-lived simulated process drawn from the
-// kernel's pooled runners: the first calls spawn fresh daemon goroutines,
-// later calls reuse parked ones, so steady-state task dispatch allocates
-// nothing and creates no goroutines. fn must not retain p past its return.
-// The ctx value lets callers pass a reused task struct through a plain
-// function, avoiding a closure allocation per task.
-func (k *Kernel) Go(name string, fn func(*Proc, any), ctx any) {
-	if k.seqMode {
-		panic("des: goroutine Go on a sequential kernel (use GoSeq)")
-	}
+// Go runs m as a short-lived simulated process drawn from the kernel's
+// pooled runners: the first calls spawn fresh daemon runners, later calls
+// reuse parked ones (LIFO), so steady-state task dispatch allocates
+// nothing. m must be ready for its first Step and self-reset on
+// completion if it is ever reused.
+func (k *Kernel) Go(name string, m Machine) {
 	k.busyGo++
 	if k.mx != nil {
 		if len(k.pool) > 0 {
@@ -343,24 +280,15 @@ func (k *Kernel) Go(name string, fn func(*Proc, any), ctx any) {
 		p := k.pool[n-1]
 		k.pool = k.pool[:n-1]
 		p.name = name
-		p.task, p.taskCtx = fn, ctx
+		p.task = m
 		p.Wake()
 		return
 	}
-	p := k.spawn(name, true, func(p *Proc) {
-		for {
-			p.task(p, p.taskCtx)
-			p.task, p.taskCtx = nil, nil
-			p.k.busyGo--
-			p.k.pool = append(p.k.pool, p)
-			p.Halt()
-		}
-	})
-	p.task, p.taskCtx = fn, ctx
+	k.spawn(name, true, nil).task = m
 }
 
 // schedule enqueues a wake event for p at time t. Immediate events
-// (t == now — Spawn, Wake, zero Advance) go to the FIFO ring: the clock
+// (t == now — Spawn, Wake, zero AdvanceArm) go to the FIFO ring: the clock
 // never moves backwards and sequence numbers are monotone, so appending
 // preserves (t, seq) order without a heap round-trip.
 func (k *Kernel) schedule(p *Proc, t float64) {
@@ -377,71 +305,31 @@ func (k *Kernel) schedule(p *Proc, t float64) {
 	k.heapPush(event{t: t, seq: k.seq, p: p})
 }
 
-// park suspends the running process: it dispatches the next pending event
-// itself and hands control directly to that process (or back to the Run
-// caller when nothing is runnable), then blocks until re-dispatched. When
-// the next event belongs to this very process, park returns immediately —
-// no goroutine switch at all.
-func (p *Proc) park() {
-	k := p.k
-	if k.seqMode {
-		panic(fmt.Sprintf("des: goroutine-style blocking by %q on a sequential kernel (Machines must use the Arm primitives and yield)", p.name))
-	}
-	next := k.dispatchNext()
-	if next == p {
-		if k.mx != nil {
-			k.mx.SelfDispatches.Inc()
-		}
-		return
-	}
-	if next != nil {
-		if k.mx != nil {
-			k.mx.Handoffs.Inc()
-		}
-		next.resume <- struct{}{}
-	} else {
-		k.main <- struct{}{}
-	}
-	<-p.resume
-	if k.aborted {
-		panic(abortSignal{})
-	}
-}
-
-// Advance suspends the process for dt seconds of virtual time.
-// Negative or NaN durations are treated as zero (the process yields and is
-// rescheduled at the current instant, after already-pending events).
+// AdvanceArm suspends the process for dt seconds of virtual time. It
+// either consumes dt synchronously via the lookahead fast path (true — the
+// clock has already moved, keep executing) or schedules the process's wake
+// at now+dt and reports false, in which case the Machine must return false
+// up to the scheduler loop and re-enter at its next Step. Negative or NaN
+// durations are treated as zero (the process yields and is rescheduled at
+// the current instant, after already-pending events).
 //
-// Fast path: when no pending event precedes this process's wake — the FIFO
-// is drained and the heap is empty or strictly later — the kernel would
-// dispatch this same process next, so Advance just moves the clock and
-// returns without parking. Sequence numbers are consumed per *scheduled*
-// event only; skipping the round-trip preserves the relative order of all
-// surviving events, so runs remain bit-for-bit identical.
-func (p *Proc) Advance(dt float64) {
-	if !p.AdvanceArm(dt) {
-		p.park()
-	}
-}
-
-// AdvanceArm is the non-suspending form of Advance shared by both engines:
-// it either consumes dt synchronously via the lookahead fast path (true —
-// the clock has already moved, keep executing) or schedules the process's
-// wake at now+dt and reports false. On a false return a goroutine process
-// parks (Advance does this); a sequential Machine must return false up to
-// the scheduler loop and re-enter at its next Step.
+// Fast path: when no pending event precedes this process's wake — the
+// FIFO is drained and the heap is empty or strictly later — the kernel
+// would dispatch this same process next, so the clock just moves forward.
+// Sequence numbers are consumed per *scheduled* event only; skipping the
+// round-trip preserves the relative order of all surviving events.
 func (p *Proc) AdvanceArm(dt float64) bool {
 	if dt < 0 || math.IsNaN(dt) {
 		dt = 0
 	}
 	k := p.k
-	if k.immH == len(k.imm) && !k.aborted {
+	if k.immH == len(k.imm) {
 		t := k.now + dt
 		// The cancellation poll rides the fast path too: a single-process
 		// compute loop dispatches almost no events, so counting only
 		// dispatches would let it outrun a cancelled context. A cancelled
-		// run falls through to the scheduled path, which unwinds via the
-		// abort path.
+		// run falls through to the scheduled path, and the scheduler loop
+		// stops at its next dispatch.
 		if t <= k.horizon && (len(k.heap) == 0 || k.heap[0].t > t) && !k.pollCtx() {
 			k.now = t
 			if k.mx != nil {
@@ -454,16 +342,9 @@ func (p *Proc) AdvanceArm(dt float64) bool {
 	return false
 }
 
-// Halt blocks the process indefinitely until another process calls Wake.
-func (p *Proc) Halt() {
-	p.HaltArm()
-	p.park()
-}
-
-// HaltArm marks the process halted without suspending it: the sequential
-// form of Halt. The calling Machine must yield (return false) immediately
-// after arming; the process becomes runnable again when another process
-// calls Wake.
+// HaltArm blocks the process indefinitely until another process calls
+// Wake. The calling Machine must yield (return false) immediately after
+// arming.
 func (p *Proc) HaltArm() {
 	p.halted = true
 	p.wakeSeq = 0
@@ -510,15 +391,6 @@ func (k *Kernel) next() (event, bool) {
 	return event{}, false
 }
 
-// pop removes the event peek'd by next (the global minimum).
-func (k *Kernel) pop(e event) {
-	if k.immH < len(k.imm) && k.imm[k.immH].seq == e.seq {
-		k.immH++
-		return
-	}
-	k.heapPop()
-}
-
 // dispatchNext pops stale wakes, then dispatches the (time, seq)-minimum
 // pending event: the clock moves to its time and its process is returned,
 // ready to be resumed. It returns nil when the queue is drained or the head
@@ -527,7 +399,7 @@ func (k *Kernel) pop(e event) {
 // the queues exactly once.
 func (k *Kernel) dispatchNext() *Proc {
 	// A recorded failure (process panic or context cancellation) stops
-	// dispatch: control unwinds to Run, which aborts every live process.
+	// dispatch: the scheduler loop returns to Run's caller.
 	if k.failure != nil || k.pollCtx() {
 		return nil
 	}
@@ -583,39 +455,75 @@ func (k *Kernel) dispatchNext() *Proc {
 // the virtual clock would exceed until (use math.Inf(1) for no horizon).
 // It returns the first process failure, a *DeadlockError if live processes
 // remain halted with nothing scheduled, or nil. Parked daemon processes do
-// not hold a run open: when only daemons remain the run is complete (reap
-// them with Shutdown), but pooled runners still executing a task count as
-// deadlocked work.
+// not hold a run open: when only daemons remain the run is complete, but
+// pooled runners still executing a task count as deadlocked work.
 //
-// Run hands control to the first dispatched process and receives it back
-// only when nothing is runnable; in between, control passes from process to
-// process without returning here.
+// Dispatch classification for the metrics: a dispatch that resumes the
+// process that just yielded is a self-dispatch; every other dispatch is a
+// scheduler dispatch.
 func (k *Kernel) Run(until float64) error {
-	if k.seqMode {
-		return k.runSeq(until)
-	}
 	k.horizon = until
 	if k.ctx != nil && k.failure == nil {
 		if err := k.ctx.Err(); err != nil {
 			k.failure = fmt.Errorf("des: run cancelled: %w", err)
 		}
 	}
-	if next := k.dispatchNext(); next != nil {
-		if k.mx != nil {
-			k.mx.SchedulerDispatches.Inc()
+	var prev *Proc
+	for {
+		next := k.dispatchNext()
+		if next == nil {
+			break
 		}
-		next.resume <- struct{}{}
-		<-k.main
+		if k.mx != nil {
+			if next == prev {
+				k.mx.SelfDispatches.Inc()
+			} else {
+				k.mx.SchedulerDispatches.Inc()
+			}
+		}
+		k.step(next)
+		prev = next
 	}
 	return k.finish()
 }
 
+// step resumes one continuation for a single dispatch. A pooled runner
+// whose task completes returns to the pool and halts for reuse. A
+// panicking Step is recorded as the run failure with the process retired.
+func (k *Kernel) step(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if k.failure == nil {
+				k.failure = fmt.Errorf("des: process %q panicked: %v", p.name, r)
+			}
+			p.done = true
+			if !p.daemon {
+				k.live--
+			}
+		}
+	}()
+	if p.body == nil {
+		if p.task.Step(p) {
+			p.task = nil
+			k.busyGo--
+			k.pool = append(k.pool, p)
+			p.HaltArm()
+		}
+		return
+	}
+	if p.body.Step(p) {
+		p.done = true
+		if !p.daemon {
+			k.live--
+		}
+	}
+}
+
 // finish classifies the run's terminal state once dispatch has stopped:
 // recorded failure, horizon-limited (queue intact), completion, or
-// deadlock. Shared by both engines.
+// deadlock.
 func (k *Kernel) finish() error {
 	if k.failure != nil {
-		k.abort()
 		return k.failure
 	}
 	if _, ok := k.next(); ok {
@@ -628,41 +536,12 @@ func (k *Kernel) finish() error {
 			if p.done || !p.halted {
 				continue
 			}
-			if !p.daemon || p.task != nil || p.seqTask != nil {
+			if !p.daemon || p.task != nil {
 				names = append(names, p.name)
 			}
 		}
 		sort.Strings(names)
-		err := &DeadlockError{Time: k.now, Procs: names}
-		k.abort()
-		return err
+		return &DeadlockError{Time: k.now, Procs: names}
 	}
 	return nil
-}
-
-// Shutdown reaps every remaining process goroutine — parked worker-pool
-// daemons included — and renders the kernel unusable. Call it once the
-// run's results have been read; it is idempotent and safe after failed
-// runs (which abort on their own).
-func (k *Kernel) Shutdown() { k.abort() }
-
-// abort unblocks every live process with an abort signal so their
-// goroutines exit; the kernel becomes unusable afterwards. On the
-// sequential engine there are no goroutines to reap: marking the kernel
-// aborted is all teardown requires.
-func (k *Kernel) abort() {
-	if k.aborted {
-		return
-	}
-	k.aborted = true
-	if k.seqMode {
-		return
-	}
-	for _, p := range k.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-k.main
-	}
 }

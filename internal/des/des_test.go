@@ -1,4 +1,4 @@
-package des
+package des_test
 
 import (
 	"math"
@@ -6,32 +6,29 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
+// logAt returns an op appending label to *log.
+func logAt(log *[]string, label string) destest.Op {
+	return destest.Do(func(*des.Proc) { *log = append(*log, label) })
+}
+
 func TestAdvanceOrdersEvents(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var order []string
-	k.Spawn("b", func(p *Proc) {
-		p.Advance(2)
-		order = append(order, "b@2")
-	})
-	k.Spawn("a", func(p *Proc) {
-		p.Advance(1)
-		order = append(order, "a@1")
-		p.Advance(3)
-		order = append(order, "a@4")
-	})
+	k.Spawn("b", destest.Script(destest.Advance(2), logAt(&order, "b@2")))
+	k.Spawn("a", destest.Script(
+		destest.Advance(1), logAt(&order, "a@1"),
+		destest.Advance(3), logAt(&order, "a@4"),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a@1", "b@2", "a@4"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if got := strings.Join(order, " "); got != "a@1 b@2 a@4" {
+		t.Fatalf("order = %v, want [a@1 b@2 a@4]", order)
 	}
 	if k.Now() != 4 {
 		t.Fatalf("Now() = %g, want 4", k.Now())
@@ -39,55 +36,43 @@ func TestAdvanceOrdersEvents(t *testing.T) {
 }
 
 func TestTieBreakBySpawnOrder(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var order []string
 	for _, name := range []string{"p0", "p1", "p2"} {
-		name := name
-		k.Spawn(name, func(p *Proc) {
-			p.Advance(1) // all wake at t=1
-			order = append(order, name)
-		})
+		k.Spawn(name, destest.Script(destest.Advance(1), logAt(&order, name))) // all wake at t=1
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"p0", "p1", "p2"} {
-		if order[i] != name {
-			t.Fatalf("tie-break order %v, want spawn order", order)
-		}
+	if got := strings.Join(order, " "); got != "p0 p1 p2" {
+		t.Fatalf("tie-break order %v, want spawn order", order)
 	}
 }
 
 func TestNegativeAndNaNAdvance(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("p", func(p *Proc) {
-		p.Advance(-5)
+	k := des.NewKernel()
+	atZero := destest.Do(func(p *des.Proc) {
 		if p.Now() != 0 {
-			t.Errorf("negative advance moved clock to %g", p.Now())
-		}
-		p.Advance(math.NaN())
-		if p.Now() != 0 {
-			t.Errorf("NaN advance moved clock to %g", p.Now())
+			t.Errorf("negative or NaN advance moved clock to %g", p.Now())
 		}
 	})
+	k.Spawn("p", destest.Script(destest.Advance(-5), atZero, destest.Advance(math.NaN()), atZero))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHaltAndWake(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var woken float64
-	var target *Proc
-	k.Spawn("sleeper", func(p *Proc) {
-		target = p
-		p.Halt()
-		woken = p.Now()
-	})
-	k.Spawn("waker", func(p *Proc) {
-		p.Advance(5)
-		target.Wake()
-	})
+	sleeper := k.Spawn("sleeper", destest.Script(
+		destest.Halt(),
+		destest.Do(func(p *des.Proc) { woken = p.Now() }),
+	))
+	k.Spawn("waker", destest.Script(
+		destest.Advance(5),
+		destest.Do(func(*des.Proc) { sleeper.Wake() }),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +82,10 @@ func TestHaltAndWake(t *testing.T) {
 }
 
 func TestWakeNonHaltedPanics(t *testing.T) {
-	k := NewKernel()
-	var first *Proc
-	k.Spawn("a", func(p *Proc) {
-		first = p
-		p.Advance(1)
-	})
-	k.Spawn("b", func(p *Proc) {
-		first.Wake() // first has a pending wake event, not halted
-	})
+	k := des.NewKernel()
+	first := k.Spawn("a", destest.Script(destest.Advance(1)))
+	// first has a pending wake event, not halted.
+	k.Spawn("b", destest.Script(destest.Do(func(*des.Proc) { first.Wake() })))
 	// The panic unwinds process "b"; Run reports it as a failure.
 	err := k.Run(math.Inf(1))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -114,11 +94,11 @@ func TestWakeNonHaltedPanics(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("stuck1", func(p *Proc) { p.Halt() })
-	k.Spawn("stuck2", func(p *Proc) { p.Halt() })
+	k := des.NewKernel()
+	k.Spawn("stuck1", destest.Script(destest.Halt()))
+	k.Spawn("stuck2", destest.Script(destest.Halt()))
 	err := k.Run(math.Inf(1))
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*des.DeadlockError)
 	if !ok {
 		t.Fatalf("Run() = %v, want *DeadlockError", err)
 	}
@@ -131,16 +111,12 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestPanicPropagation(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("boom", func(p *Proc) {
-		p.Advance(1)
-		panic("kaboom")
-	})
-	k.Spawn("bystander", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Advance(1)
-		}
-	})
+	k := des.NewKernel()
+	k.Spawn("boom", destest.Script(
+		destest.Advance(1),
+		destest.Do(func(*des.Proc) { panic("kaboom") }),
+	))
+	k.Spawn("bystander", destest.Script(destest.Repeat(100, destest.Advance(1))))
 	err := k.Run(math.Inf(1))
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("Run() = %v, want propagated panic", err)
@@ -151,14 +127,12 @@ func TestPanicPropagation(t *testing.T) {
 }
 
 func TestRunUntilHorizon(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	steps := 0
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(1)
-			steps++
-		}
-	})
+	k.Spawn("ticker", destest.Script(destest.Repeat(10,
+		destest.Advance(1),
+		destest.Do(func(*des.Proc) { steps++ }),
+	)))
 	if err := k.Run(3.5); err != nil {
 		t.Fatal(err)
 	}
@@ -175,34 +149,28 @@ func TestRunUntilHorizon(t *testing.T) {
 }
 
 func TestDeterministicInterleaving(t *testing.T) {
-	trace := func(seed int64) []string {
-		k := NewKernel()
+	trace := func(seed int64) string {
+		k := des.NewKernel()
 		rng := rand.New(rand.NewSource(seed))
 		var out []string
 		for i := 0; i < 5; i++ {
 			name := string(rune('a' + i))
-			delays := make([]float64, 20)
-			for j := range delays {
-				delays[j] = rng.Float64()
+			var ops []destest.Op
+			for j := 0; j < 20; j++ {
+				ops = append(ops, destest.Advance(rng.Float64()), logAt(&out, name))
 			}
-			k.Spawn(name, func(p *Proc) {
-				for _, d := range delays {
-					p.Advance(d)
-					out = append(out, name)
-				}
-			})
+			k.Spawn(name, destest.Script(ops...))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return strings.Join(out, "")
 	}
 	a, b := trace(42), trace(42)
-	if strings.Join(a, "") != strings.Join(b, "") {
+	if a != b {
 		t.Fatal("identical seeds produced different interleavings")
 	}
-	c := trace(43)
-	if strings.Join(a, "") == strings.Join(c, "") {
+	if a == trace(43) {
 		t.Fatal("different seeds produced identical interleavings (suspicious)")
 	}
 }
@@ -217,14 +185,13 @@ func TestVirtualTimeMatchesSortedDelays(t *testing.T) {
 		for i := range delays {
 			delays[i] = rng.Float64() * 100
 		}
-		k := NewKernel()
+		k := des.NewKernel()
 		var done []float64
-		for i := 0; i < n; i++ {
-			d := delays[i]
-			k.Spawn("p", func(p *Proc) {
-				p.Advance(d)
-				done = append(done, p.Now())
-			})
+		for _, d := range delays {
+			k.Spawn("p", destest.Script(
+				destest.Advance(d),
+				destest.Do(func(p *des.Proc) { done = append(done, p.Now()) }),
+			))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
@@ -243,16 +210,18 @@ func TestVirtualTimeMatchesSortedDelays(t *testing.T) {
 }
 
 func TestSpawnDuringRun(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var childTime float64
-	k.Spawn("parent", func(p *Proc) {
-		p.Advance(2)
-		k.Spawn("child", func(c *Proc) {
-			c.Advance(3)
-			childTime = c.Now()
-		})
-		p.Advance(10)
-	})
+	k.Spawn("parent", destest.Script(
+		destest.Advance(2),
+		destest.Do(func(*des.Proc) {
+			k.Spawn("child", destest.Script(
+				destest.Advance(3),
+				destest.Do(func(c *des.Proc) { childTime = c.Now() }),
+			))
+		}),
+		destest.Advance(10),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +231,15 @@ func TestSpawnDuringRun(t *testing.T) {
 }
 
 func TestProcAccessors(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("named", func(p *Proc) {
+	k := des.NewKernel()
+	k.Spawn("named", destest.Script(destest.Do(func(p *des.Proc) {
 		if p.Name() != "named" {
 			t.Errorf("Name() = %q", p.Name())
 		}
 		if p.Kernel() != k {
 			t.Error("Kernel() mismatch")
 		}
-	})
+	})))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package des
+package des_test
 
 import (
 	"math"
@@ -6,18 +6,20 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/queueing"
 )
 
 func TestResourceSerializes(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	var finish []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("c", func(p *Proc) {
-			r.Serve(p, 2)
-			finish = append(finish, p.Now())
-		})
+		k.Spawn("c", destest.Script(
+			destest.Serve(r, 2, nil),
+			destest.Do(func(p *des.Proc) { finish = append(finish, p.Now()) }),
+		))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -31,16 +33,15 @@ func TestResourceSerializes(t *testing.T) {
 }
 
 func TestResourceFCFSOrder(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("c", func(p *Proc) {
-			p.Advance(float64(i) * 0.1) // arrive in index order
-			r.Serve(p, 1)
-			order = append(order, i)
-		})
+		k.Spawn("c", destest.Script(
+			destest.Advance(float64(i)*0.1), // arrive in index order
+			destest.Serve(r, 1, nil),
+			destest.Do(func(*des.Proc) { order = append(order, i) }),
+		))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -53,14 +54,11 @@ func TestResourceFCFSOrder(t *testing.T) {
 }
 
 func TestResourceWaitAccounting(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	waits := make([]float64, 3)
 	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("c", func(p *Proc) {
-			waits[i] = r.Serve(p, 4)
-		})
+		k.Spawn("c", destest.Script(destest.Serve(r, 4, &waits[i])))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -86,13 +84,13 @@ func TestResourceWaitAccounting(t *testing.T) {
 }
 
 func TestResourceUtilizationWithIdle(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	k.Spawn("c", func(p *Proc) {
-		r.Serve(p, 1)
-		p.Advance(3) // idle gap
-		r.Serve(p, 1)
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	k.Spawn("c", destest.Script(
+		destest.Serve(r, 1, nil),
+		destest.Advance(3), // idle gap
+		destest.Serve(r, 1, nil),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +100,13 @@ func TestResourceUtilizationWithIdle(t *testing.T) {
 }
 
 func TestResourceReset(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	k.Spawn("c", func(p *Proc) {
-		r.Serve(p, 1)
-		r.Reset()
-		r.Serve(p, 2)
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	k.Spawn("c", destest.Script(
+		destest.Serve(r, 1, nil),
+		destest.Do(func(*des.Proc) { r.Reset() }),
+		destest.Serve(r, 2, nil),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,25 +120,22 @@ func TestResourceReset(t *testing.T) {
 }
 
 func TestAcquireReleaseHandoff(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	var got []float64
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Advance(5)
-		r.Release()
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		p.Advance(1)
-		w := r.Acquire(p)
-		got = append(got, w, p.Now())
-		r.Release()
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	release := destest.Do(func(*des.Proc) { r.Release() })
+	var wait, granted float64
+	k.Spawn("holder", destest.Script(destest.Acquire(r, nil), destest.Advance(5), release))
+	k.Spawn("waiter", destest.Script(
+		destest.Advance(1),
+		destest.Acquire(r, &wait),
+		destest.Do(func(p *des.Proc) { granted = p.Now() }),
+		release,
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 4 || got[1] != 5 {
-		t.Fatalf("waiter wait=%g granted at %g, want 4 at 5", got[0], got[1])
+	if wait != 4 || granted != 5 {
+		t.Fatalf("waiter wait=%g granted at %g, want 4 at 5", wait, granted)
 	}
 	if r.Busy() {
 		t.Fatal("resource still busy after all releases")
@@ -160,8 +155,8 @@ func TestMM1AgainstTheory(t *testing.T) {
 		service = 1.0
 		n       = 30000
 	)
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	rng := rand.New(rand.NewSource(99))
 	arrivals := make([]float64, n)
 	tArr := 0.0
@@ -174,11 +169,7 @@ func TestMM1AgainstTheory(t *testing.T) {
 		services[i] = rng.ExpFloat64() * service
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("job", func(p *Proc) {
-			p.Advance(arrivals[i])
-			r.Serve(p, services[i])
-		})
+		k.Spawn("job", destest.Script(destest.Advance(arrivals[i]), destest.Serve(r, services[i], nil)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -201,17 +192,13 @@ func TestMD1AgainstTheory(t *testing.T) {
 		service = 1.0
 		n       = 30000
 	)
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	rng := rand.New(rand.NewSource(5))
 	tArr := 0.0
 	for i := 0; i < n; i++ {
 		tArr += rng.ExpFloat64() / lambda
-		at := tArr
-		k.Spawn("job", func(p *Proc) {
-			p.Advance(at)
-			r.Serve(p, service)
-		})
+		k.Spawn("job", destest.Script(destest.Advance(tArr), destest.Serve(r, service, nil)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -236,50 +223,47 @@ func TestMD1AgainstTheory(t *testing.T) {
 func TestResourceQueueProperties(t *testing.T) {
 	f := func(seed int64, customers uint8) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		k := NewKernel()
-		r := NewResource(k, "srv")
+		k := des.NewKernel()
+		r := des.NewResource(k, "srv")
 		var (
 			calls, grants []int
 			waiting, peak int
 			ok            = true
 		)
 		check := func() {
-			if r.QueueLen() != waiting || cap(r.queue) > 2*peak {
+			if r.QueueLen() != waiting || r.QueueCap() > 2*peak {
 				ok = false
 			}
 		}
 		for i := 0; i < int(customers)%48+1; i++ {
-			i := i
-			arrive := rnd.Float64()
-			holds := 1 + rnd.Intn(4)
-			services := make([]float64, holds)
-			thinks := make([]float64, holds)
-			for j := range services {
+			ops := []destest.Op{destest.Advance(rnd.Float64())}
+			for holds := 1 + rnd.Intn(4); holds > 0; holds-- {
+				service := 0.0
 				if rnd.Intn(4) > 0 {
-					services[j] = rnd.Float64() * 0.2
+					service = rnd.Float64() * 0.2
 				}
-				thinks[j] = rnd.Float64() * 0.5
+				ops = append(ops,
+					destest.Do(func(*des.Proc) {
+						if r.Busy() {
+							waiting++
+							peak = max(peak, waiting)
+						}
+						calls = append(calls, i)
+					}),
+					destest.Acquire(r, nil),
+					destest.Do(func(*des.Proc) { grants = append(grants, i); check() }),
+					destest.Advance(service),
+					destest.Do(func(*des.Proc) {
+						if waiting > 0 {
+							waiting-- // Release hands the server to the head waiter
+						}
+						r.Release()
+						check()
+					}),
+					destest.Advance(rnd.Float64()*0.5),
+				)
 			}
-			k.Spawn("c", func(p *Proc) {
-				p.Advance(arrive)
-				for j := 0; j < holds; j++ {
-					if r.Busy() {
-						waiting++
-						peak = max(peak, waiting)
-					}
-					calls = append(calls, i)
-					r.Acquire(p)
-					grants = append(grants, i)
-					check()
-					p.Advance(services[j])
-					if waiting > 0 {
-						waiting-- // Release hands the server to the head waiter
-					}
-					r.Release()
-					check()
-					p.Advance(thinks[j])
-				}
-			})
+			k.Spawn("c", destest.Script(ops...))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Log(err)

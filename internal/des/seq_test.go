@@ -1,4 +1,4 @@
-package des
+package des_test
 
 import (
 	"context"
@@ -6,19 +6,26 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hybridperf/internal/des"
 )
+
+// The TestSeq tests drive the raw Machine contract with hand-written
+// continuations — a program counter switch over the Arm primitives, the
+// way the runtime's own process bodies are written — where the other
+// kernel tests script their processes with destest.
 
 // stepper adapts a closure (holding its state in captured variables) to a
 // Machine, the way a hand-written continuation would.
-type stepper struct{ f func(p *Proc) bool }
+type stepper struct{ f func(p *des.Proc) bool }
 
-func (s *stepper) Step(p *Proc) bool { return s.f(p) }
+func (s *stepper) Step(p *des.Proc) bool { return s.f(p) }
 
 func TestSeqAdvanceOrdersEvents(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	var order []string
 	bPC := 0
-	k.SpawnSeq("b", &stepper{func(p *Proc) bool {
+	k.Spawn("b", &stepper{func(p *des.Proc) bool {
 		switch bPC {
 		case 0:
 			bPC = 1
@@ -32,7 +39,7 @@ func TestSeqAdvanceOrdersEvents(t *testing.T) {
 		}
 	}})
 	aPC := 0
-	k.SpawnSeq("a", &stepper{func(p *Proc) bool {
+	k.Spawn("a", &stepper{func(p *des.Proc) bool {
 		switch aPC {
 		case 0:
 			aPC = 1
@@ -70,12 +77,12 @@ func TestSeqAdvanceOrdersEvents(t *testing.T) {
 }
 
 func TestSeqTieBreakBySpawnOrder(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	var order []string
 	for _, name := range []string{"p0", "p1", "p2"} {
 		name := name
 		pc := 0
-		k.SpawnSeq(name, &stepper{func(p *Proc) bool {
+		k.Spawn(name, &stepper{func(p *des.Proc) bool {
 			switch pc {
 			case 0:
 				pc = 1
@@ -102,10 +109,10 @@ func TestSeqTieBreakBySpawnOrder(t *testing.T) {
 // TestSeqHaltAndWake: HaltArm parks a machine off the queue until another
 // machine wakes it, and the sleeper resumes at the waker's virtual time.
 func TestSeqHaltAndWake(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	wokeAt := -1.0
 	slept := false
-	sleeper := k.SpawnSeq("sleeper", &stepper{func(p *Proc) bool {
+	sleeper := k.Spawn("sleeper", &stepper{func(p *des.Proc) bool {
 		if !slept {
 			slept = true
 			p.HaltArm()
@@ -115,7 +122,7 @@ func TestSeqHaltAndWake(t *testing.T) {
 		return true
 	}})
 	wPC := 0
-	k.SpawnSeq("waker", &stepper{func(p *Proc) bool {
+	k.Spawn("waker", &stepper{func(p *des.Proc) bool {
 		switch wPC {
 		case 0:
 			wPC = 1
@@ -139,12 +146,12 @@ func TestSeqHaltAndWake(t *testing.T) {
 // TestSeqCondWaitArm: WaitArm queues a machine on a condition until a
 // broadcast, the continuation form of the Cond.Wait/Broadcast pair.
 func TestSeqCondWaitArm(t *testing.T) {
-	k := NewSequentialKernel()
-	var c Cond
+	k := des.NewKernel()
+	var c des.Cond
 	ready := false
 	var observed []float64
 	for i := 0; i < 3; i++ {
-		k.SpawnSeq("waiter", &stepper{func(p *Proc) bool {
+		k.Spawn("waiter", &stepper{func(p *des.Proc) bool {
 			for !ready { // the usual predicate loop, re-armed per resumption
 				c.WaitArm(p)
 				return false
@@ -154,7 +161,7 @@ func TestSeqCondWaitArm(t *testing.T) {
 		}})
 	}
 	sPC := 0
-	k.SpawnSeq("signaller", &stepper{func(p *Proc) bool {
+	k.Spawn("signaller", &stepper{func(p *des.Proc) bool {
 		switch sPC {
 		case 0:
 			sPC = 1
@@ -182,14 +189,14 @@ func TestSeqCondWaitArm(t *testing.T) {
 }
 
 // TestSeqGoReusesPooledRunner mirrors TestGoReusesPooledRunner: strictly
-// sequential GoSeq tasks must share one pooled runner process.
+// sequential Go tasks must share one pooled runner process.
 func TestSeqGoReusesPooledRunner(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	const tasks = 100
 	ran := 0
-	newTask := func() Machine {
+	newTask := func() des.Machine {
 		pc := 0
-		return &stepper{func(p *Proc) bool {
+		return &stepper{func(p *des.Proc) bool {
 			switch pc {
 			case 0:
 				pc = 1
@@ -204,11 +211,11 @@ func TestSeqGoReusesPooledRunner(t *testing.T) {
 		}}
 	}
 	i, dPC := 0, 0
-	k.SpawnSeq("driver", &stepper{func(p *Proc) bool {
+	k.Spawn("driver", &stepper{func(p *des.Proc) bool {
 		for i < tasks {
 			switch dPC {
 			case 0:
-				k.GoSeq("task", newTask())
+				k.Go("task", newTask())
 				dPC = 1
 				if !p.AdvanceArm(2) { // task finishes before the next is issued
 					return false
@@ -233,15 +240,15 @@ func TestSeqGoReusesPooledRunner(t *testing.T) {
 }
 
 func TestSeqDeadlockDetection(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	for _, name := range []string{"stuck1", "stuck2"} {
-		k.SpawnSeq(name, &stepper{func(p *Proc) bool {
+		k.Spawn(name, &stepper{func(p *des.Proc) bool {
 			p.HaltArm()
 			return false
 		}})
 	}
 	err := k.Run(math.Inf(1))
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*des.DeadlockError)
 	if !ok {
 		t.Fatalf("Run() = %v, want *DeadlockError", err)
 	}
@@ -254,9 +261,9 @@ func TestSeqDeadlockDetection(t *testing.T) {
 }
 
 func TestSeqPanicBecomesRunFailure(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	bPC := 0
-	k.SpawnSeq("boom", &stepper{func(p *Proc) bool {
+	k.Spawn("boom", &stepper{func(p *des.Proc) bool {
 		switch bPC {
 		case 0:
 			bPC = 1
@@ -269,7 +276,7 @@ func TestSeqPanicBecomesRunFailure(t *testing.T) {
 		}
 	}})
 	i := 0
-	k.SpawnSeq("bystander", &stepper{func(p *Proc) bool {
+	k.Spawn("bystander", &stepper{func(p *des.Proc) bool {
 		for i < 100 {
 			i++
 			if !p.AdvanceArm(1) {
@@ -288,9 +295,9 @@ func TestSeqPanicBecomesRunFailure(t *testing.T) {
 }
 
 func TestSeqRunUntilHorizonAndResume(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	steps := 0
-	k.SpawnSeq("ticker", &stepper{func(p *Proc) bool {
+	k.Spawn("ticker", &stepper{func(p *des.Proc) bool {
 		for steps < 10 {
 			if !p.AdvanceArm(1) {
 				return false
@@ -313,12 +320,12 @@ func TestSeqRunUntilHorizonAndResume(t *testing.T) {
 	}
 }
 
-// TestSeqPreCancelledContext: the upfront cancellation check holds on the
-// sequential engine — no machine ever steps.
+// TestSeqPreCancelledContext: the upfront cancellation check holds for a
+// hand-written machine — it never steps.
 func TestSeqPreCancelledContext(t *testing.T) {
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	ran := false
-	k.SpawnSeq("p", &stepper{func(p *Proc) bool { ran = true; return true }})
+	k.Spawn("p", &stepper{func(p *des.Proc) bool { ran = true; return true }})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	k.SetContext(ctx)
@@ -335,13 +342,13 @@ func TestSeqPreCancelledContext(t *testing.T) {
 // through the event queue and the scheduler loop must stop within one
 // poll interval of the cancellation.
 func TestSeqCancelStopsDispatch(t *testing.T) {
-	const total = 100 * ctxPollInterval
+	const total = 100 * des.CtxPollInterval
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	k := NewSequentialKernel()
+	k := des.NewKernel()
 	k.SetContext(ctx)
 	steps := 0
-	k.SpawnSeq("a", &stepper{func(p *Proc) bool {
+	k.Spawn("a", &stepper{func(p *des.Proc) bool {
 		for steps < total {
 			if steps == 10 {
 				cancel()
@@ -354,7 +361,7 @@ func TestSeqCancelStopsDispatch(t *testing.T) {
 		return true
 	}})
 	i := 0
-	k.SpawnSeq("b", &stepper{func(p *Proc) bool {
+	k.Spawn("b", &stepper{func(p *des.Proc) bool {
 		for i < total {
 			i++
 			if !p.AdvanceArm(1) {
@@ -370,42 +377,7 @@ func TestSeqCancelStopsDispatch(t *testing.T) {
 	if steps >= total {
 		t.Fatalf("machine completed all %d steps despite cancellation", total)
 	}
-	if steps > 10+2*ctxPollInterval {
+	if steps > 10+2*des.CtxPollInterval {
 		t.Fatalf("run continued for %d steps after cancelling at step 10", steps)
-	}
-}
-
-// TestSeqEngineGuards: the two engines reject each other's spawn and
-// blocking primitives loudly rather than corrupting the schedule.
-func TestSeqEngineGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	seq := NewSequentialKernel()
-	mustPanic("Spawn on sequential kernel", func() { seq.Spawn("p", func(p *Proc) {}) })
-	mustPanic("Go on sequential kernel", func() { seq.Go("t", func(p *Proc, _ any) {}, nil) })
-	gor := NewKernel()
-	mustPanic("SpawnSeq on goroutine kernel", func() { gor.SpawnSeq("p", &stepper{func(p *Proc) bool { return true }}) })
-	mustPanic("GoSeq on goroutine kernel", func() { gor.GoSeq("t", &stepper{func(p *Proc) bool { return true }}) })
-}
-
-// TestSeqGoroutineBlockingFailsLoudly: a Machine that calls a
-// goroutine-style blocking primitive (here Advance forced onto its slow
-// path) must turn into a recorded run failure naming the Arm rule, not a
-// silent hang.
-func TestSeqGoroutineBlockingFailsLoudly(t *testing.T) {
-	k := NewSequentialKernel()
-	k.SpawnSeq("old-style", &stepper{func(p *Proc) bool {
-		p.Advance(20) // beyond the horizon: cannot take the lookahead fast path
-		return true
-	}})
-	err := k.Run(10)
-	if err == nil || !strings.Contains(err.Error(), "Arm primitives") {
-		t.Fatalf("Run() = %v, want a failure naming the Arm primitives", err)
 	}
 }

@@ -2,13 +2,13 @@ package exec
 
 import "testing"
 
-// TestRunAllocBudget pins the allocation cost of one sequential-engine run
+// TestRunAllocBudget pins the allocation cost of one run
 // of the BenchmarkRun fixture. The run dispatches ~79k events; a budget of
 // 1,000 objects for all of it means no per-event allocation (a resource
 // queue that reallocates on every enqueue alone costs ~10k).
 func TestRunAllocBudget(t *testing.T) {
 	const budget = 1000
-	req := runFixture(EngineSequential)
+	req := runFixture()
 	var runErr error
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := Run(req); err != nil {

@@ -11,29 +11,10 @@ import (
 // BenchmarkRun measures one validation-size direct measurement (SP at the
 // characterisation class on the largest validation configuration) — the
 // unit of work every experiment artifact and sweep repeats thousands of
-// times. ns/op and allocs/op for this fixture are the headline numbers
-// recorded in BENCH_3.json, per engine.
-func BenchmarkRun(b *testing.B) { benchmarkRun(b, EngineGoroutine) }
-
-// BenchmarkRunSequential is BenchmarkRun on the goroutine-free sequential
-// engine: identical results, no channel handoff per event.
-func BenchmarkRunSequential(b *testing.B) { benchmarkRun(b, EngineSequential) }
-
-// runFixture is the BenchmarkRun request: NPB SP, class S, on 8 Xeon
-// nodes x 8 cores at 1.8 GHz, seed 1.
-func runFixture(engine string) Request {
-	return Request{
-		Prof:   machine.XeonE5(),
-		Spec:   workload.SP(),
-		Class:  workload.ClassS,
-		Cfg:    machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
-		Seed:   1,
-		Engine: engine,
-	}
-}
-
-func benchmarkRun(b *testing.B, engine string) {
-	req := runFixture(engine)
+// times. ns/op and allocs/op for this fixture are gated in CI against the
+// exec_BenchmarkRunSequential_SP_classS_8x8 key of BENCH_3.json.
+func BenchmarkRun(b *testing.B) {
+	req := runFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,12 +40,11 @@ func BenchmarkRunGoverned(b *testing.B) {
 		}
 	}
 	req := Request{
-		Prof:   prof,
-		Spec:   workload.SP(),
-		Class:  workload.ClassS,
-		Cfg:    cfg,
-		Seed:   1,
-		Engine: EngineSequential,
+		Prof:  prof,
+		Spec:  workload.SP(),
+		Class: workload.ClassS,
+		Cfg:   cfg,
+		Seed:  1,
 		Governor: func(rank int) dvfs.Governor {
 			g, err := dvfs.NewPhasePredictive(levels, 0, dvfs.PhaseSample{}, 0.05)
 			if err != nil {
@@ -86,23 +66,17 @@ func BenchmarkRunGoverned(b *testing.B) {
 }
 
 // BenchmarkSweep measures a small validation sweep (one point per node
-// count) through the concurrent sweep engine with 8 workers.
-func BenchmarkSweep(b *testing.B) { benchmarkSweep(b, EngineGoroutine) }
-
-// BenchmarkSweepSequential runs the same sweep with each point simulated
-// on the sequential engine (the sweep workers stay concurrent).
-func BenchmarkSweepSequential(b *testing.B) { benchmarkSweep(b, EngineSequential) }
-
-func benchmarkSweep(b *testing.B, engine string) {
+// count) through the concurrent sweep engine with 8 workers; gated in CI
+// against the exec_BenchmarkSweepSequential_4cfg key of BENCH_3.json.
+func BenchmarkSweep(b *testing.B) {
 	var reqs []Request
 	for _, nodes := range []int{1, 2, 4, 8} {
 		reqs = append(reqs, Request{
-			Prof:   machine.XeonE5(),
-			Spec:   workload.SP(),
-			Class:  workload.ClassS,
-			Cfg:    machine.Config{Nodes: nodes, Cores: 8, Freq: 1.8e9},
-			Seed:   int64(nodes),
-			Engine: engine,
+			Prof:  machine.XeonE5(),
+			Spec:  workload.SP(),
+			Class: workload.ClassS,
+			Cfg:   machine.Config{Nodes: nodes, Cores: 8, Freq: 1.8e9},
+			Seed:  int64(nodes),
 		})
 	}
 	b.ReportAllocs()
@@ -111,5 +85,17 @@ func benchmarkSweep(b *testing.B, engine string) {
 		if _, err := Sweep(reqs, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// runFixture is the BenchmarkRun request: NPB SP, class S, on 8 Xeon
+// nodes x 8 cores at 1.8 GHz, seed 1.
+func runFixture() Request {
+	return Request{
+		Prof:  machine.XeonE5(),
+		Spec:  workload.SP(),
+		Class: workload.ClassS,
+		Cfg:   machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
+		Seed:  1,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -26,7 +27,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 }
 
 // TestRunCancelledMidSimulation cancels from inside the simulation via
-// the runSpec seam: rank 0 cancels after a few steps and then keeps
+// the rankMachine seam: rank 0 cancels after a few steps and then keeps
 // computing, so the kernel's cooperative poll has to stop the run.
 func TestRunCancelledMidSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -34,17 +35,21 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
 	req.Ctx = ctx
 	steps := 0
-	req.runSpec = func(p *des.Proc, env *workload.Env) error {
-		for i := 0; i < 100000; i++ {
-			if env.Rank.ID() == 0 && i == 5 {
-				cancel()
-			}
-			p.Advance(1e-6)
-			if env.Rank.ID() == 0 {
-				steps++
-			}
-		}
-		return nil
+	req.rankMachine = func(env *workload.Env) (des.Machine, error) {
+		rank0 := env.Rank.ID() == 0
+		return destest.Script(destest.Repeat(100000,
+			destest.Do(func(*des.Proc) {
+				if rank0 && steps == 5 {
+					cancel()
+				}
+			}),
+			destest.Advance(1e-6),
+			destest.Do(func(*des.Proc) {
+				if rank0 {
+					steps++
+				}
+			}),
+		)), nil
 	}
 	_, err := Run(req)
 	if !errors.Is(err, context.Canceled) {
@@ -82,17 +87,16 @@ func TestRunUncancelledContextIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAggregatesRankErrors: every failing rank must appear in the
-// returned error, not just the first one observed.
+// TestRunAggregatesRankErrors: every rank whose process cannot be built
+// must appear in the returned error, not just the first one observed.
 func TestRunAggregatesRankErrors(t *testing.T) {
 	sentinel := errors.New("rank blew up")
 	req := xeonReq(machine.Config{Nodes: 4, Cores: 1, Freq: 1.8e9})
-	req.runSpec = func(p *des.Proc, env *workload.Env) error {
-		p.Advance(1e-6)
+	req.rankMachine = func(env *workload.Env) (des.Machine, error) {
 		if env.Rank.ID()%2 == 1 {
-			return fmt.Errorf("rank %d: %w", env.Rank.ID(), sentinel)
+			return nil, fmt.Errorf("rank %d: %w", env.Rank.ID(), sentinel)
 		}
-		return nil
+		return destest.Script(destest.Advance(1e-6)), nil
 	}
 	_, err := Run(req)
 	if err == nil {

@@ -35,21 +35,12 @@ type Request struct {
 	Cfg   machine.Config
 	Seed  int64
 
-	// Engine selects the DES process engine: EngineSequential
-	// (continuation machines on one scheduler loop — no goroutines, no
-	// channel handoffs, typically >3x faster) or EngineGoroutine (the
-	// reference: one goroutine per simulated process). Empty resolves via
-	// $HYBRIDPERF_ENGINE, then to the sequential engine. Both engines
-	// produce bit-for-bit identical results.
-	Engine string
-
 	// Ctx, when non-nil, cancels the run cooperatively: the simulation
 	// kernel polls the context every few thousand dispatch steps, so a
 	// cancelled context stops the run mid-simulation with an error
-	// wrapping ctx.Err() (errors.Is works) and the deferred Shutdown
-	// reaps every pooled goroutine. A nil Ctx runs to completion. An
-	// uncancelled context never perturbs results: runs stay bit-identical
-	// with or without one attached.
+	// wrapping ctx.Err() (errors.Is works). A nil Ctx runs to completion.
+	// An uncancelled context never perturbs results: runs stay
+	// bit-identical with or without one attached.
 	Ctx context.Context
 
 	// NoJitter disables OS-noise perturbation (micro-benchmark mode).
@@ -105,13 +96,11 @@ type Request struct {
 	// like PhaseSink.
 	PhaseTotals func(totals map[int]map[trace.Kind]float64)
 
-	// runSpec, when non-nil, replaces req.Spec.Run as the per-rank entry
-	// point — a test seam for injecting per-rank failures, which the
-	// built-in specs cannot produce after upfront validation. The seam is
-	// a goroutine-style body and cannot be compiled to a continuation, so
-	// requests carrying it always run on the goroutine engine (an explicit
-	// Engine: EngineSequential is rejected).
-	runSpec func(p *des.Proc, env *workload.Env) error
+	// rankMachine, when non-nil, replaces req.Spec.Machine as the per-rank
+	// process builder — a test seam for injecting per-rank failures, which
+	// the built-in specs cannot produce after upfront validation, and
+	// custom rank bodies.
+	rankMachine func(env *workload.Env) (des.Machine, error)
 }
 
 // Result is the measurement outcome of one run.
@@ -143,15 +132,10 @@ type Result struct {
 }
 
 // EngineStats reports what the simulation engine spent producing a
-// measurement: the engine mode, dispatched events and logical processes
-// created. With the persistent worker pools, Procs stays near
-// nodes x cores instead of growing with the event count. Procs counts
-// goroutines only on the goroutine engine; on the sequential engine the
-// same set of processes exists as continuation records and no goroutines
-// are created — consumers must key any goroutine-specific interpretation
-// on Engine.
+// measurement: dispatched events and logical processes created. With the
+// persistent worker pools, Procs stays near nodes x cores instead of
+// growing with the event count.
 type EngineStats struct {
-	Engine string // engine mode that produced the run ("goroutine" or "sequential")
 	Events uint64 // events dispatched by the kernel
 	Procs  int    // logical simulated processes (ranks, workers, couriers)
 }
@@ -196,27 +180,9 @@ func Run(req Request) (*Result, error) {
 		}
 	}
 
-	engine, err := resolveEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if req.runSpec != nil {
-		if req.Engine == EngineSequential {
-			return nil, fmt.Errorf("exec: the runSpec test seam requires the goroutine engine")
-		}
-		engine = EngineGoroutine
-	}
-
 	root := rng.New(req.Seed)
-	var k *des.Kernel
-	if engine == EngineSequential {
-		k = des.NewSequentialKernel()
-	} else {
-		k = des.NewKernel()
-	}
+	k := des.NewKernel()
 	k.SetContext(req.Ctx)
-	// Reap pooled worker/courier goroutines once results are read.
-	defer k.Shutdown()
 	sw := simnet.New(k, req.Prof, req.Cfg.Nodes)
 
 	nodes := make([]*node.Node, req.Cfg.Nodes)
@@ -251,15 +217,13 @@ func Run(req Request) (*Result, error) {
 		k.SetMetrics(mx)
 	}
 
-	runSpec := req.Spec.Run
-	if req.runSpec != nil {
-		runSpec = req.runSpec
+	rankMachine := req.Spec.Machine
+	if req.rankMachine != nil {
+		rankMachine = req.rankMachine
 	}
 	// Rank failures are collected, not first-error-wins: a multi-rank
 	// failure is reported in full, one error per failing rank in rank
-	// completion order, aggregated with errors.Join below. Appends are
-	// safe without locking — the kernel runs exactly one process at a
-	// time and synchronises handoffs through channels.
+	// order, aggregated with errors.Join below.
 	var rankErrs []error
 	for i := 0; i < req.Cfg.Nodes; i++ {
 		env := &workload.Env{
@@ -270,25 +234,18 @@ func Run(req Request) (*Result, error) {
 		if req.Governor != nil {
 			env.Governor = req.Governor(i)
 		}
-		if engine == EngineSequential {
-			m, err := req.Spec.Machine(env)
-			if err != nil {
-				return nil, err
-			}
-			k.SpawnSeq(rankName(i), m)
+		m, err := rankMachine(env)
+		if err != nil {
+			rankErrs = append(rankErrs, fmt.Errorf("%s: %w", rankName(i), err))
 			continue
 		}
-		k.Spawn(rankName(i), func(p *des.Proc) {
-			if err := runSpec(p, env); err != nil {
-				rankErrs = append(rankErrs, fmt.Errorf("%s: %w", p.Name(), err))
-			}
-		})
-	}
-	if err := k.Run(math.Inf(1)); err != nil {
-		return nil, fmt.Errorf("exec: %s on %v: %w", req.Spec.Name, req.Cfg, err)
+		k.Spawn(rankName(i), m)
 	}
 	if err := errors.Join(rankErrs...); err != nil {
 		return nil, err
+	}
+	if err := k.Run(math.Inf(1)); err != nil {
+		return nil, fmt.Errorf("exec: %s on %v: %w", req.Spec.Name, req.Cfg, err)
 	}
 
 	res := &Result{
@@ -298,7 +255,7 @@ func Run(req Request) (*Result, error) {
 		Time:    k.Now(),
 		Comm:    world.Profile(),
 		MemWait: nodes[0].MemStats(),
-		Engine:  EngineStats{Engine: engine, Events: k.Events(), Procs: k.Procs()},
+		Engine:  EngineStats{Events: k.Events(), Procs: k.Procs()},
 	}
 	if req.Trace {
 		res.Trace = rec.Events()
@@ -345,13 +302,7 @@ func Run(req Request) (*Result, error) {
 		}
 	}
 	if req.Observe != nil {
-		label := fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg)
-		if engine != DefaultEngine() {
-			// Keep span labels honest about which engine produced the run;
-			// the default engine stays unannotated for label stability.
-			label += " engine=" + engine
-		}
-		req.Observe(label, wall, time.Now())
+		req.Observe(fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg), wall, time.Now())
 	}
 	return res, nil
 }

@@ -290,6 +290,33 @@ func TestSweepRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestResultReportsEngine: the engine stats block stamped on every
+// result counts the dispatched events and the simulated processes — one
+// master per rank, its c-1 pooled OpenMP workers, plus the message
+// couriers — whether or not metrics were requested.
+func TestResultReportsEngine(t *testing.T) {
+	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
+	res, err := Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine.Events == 0 {
+		t.Fatalf("Result.Engine reported no events: %+v", res.Engine)
+	}
+	if min := req.Cfg.Nodes * req.Cfg.Cores; res.Engine.Procs < min {
+		t.Fatalf("Result.Engine.Procs = %d, want at least %d (ranks and workers)", res.Engine.Procs, min)
+	}
+	req.Metrics = true
+	inst, err := Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.Engine != res.Engine || inst.Metrics.Engine.Events != res.Engine.Events {
+		t.Fatalf("instrumented run reports %+v (metrics %d events), plain run %+v",
+			inst.Engine, inst.Metrics.Engine.Events, res.Engine)
+	}
+}
+
 func TestRunMetricsPopulated(t *testing.T) {
 	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
 	req.Metrics = true
@@ -304,7 +331,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if eng.Events != res.Engine.Events {
 		t.Fatalf("metrics events %d != engine stats %d", eng.Events, res.Engine.Events)
 	}
-	if got := eng.Handoffs + eng.SelfDispatches + eng.SchedulerDispatches; got != eng.Events {
+	if got := eng.SelfDispatches + eng.SchedulerDispatches; got != eng.Events {
 		t.Fatalf("dispatch classes sum to %d, want %d", got, eng.Events)
 	}
 	if eng.Regions == 0 || eng.Messages == 0 || eng.HeapHighWater == 0 {

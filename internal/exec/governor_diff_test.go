@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"os"
 	"testing"
 
 	"hybridperf/internal/dvfs"
@@ -10,7 +11,7 @@ import (
 // governorFactories builds one per-rank governor factory per policy for a
 // run starting at cfg.Freq on prof's level grid. The phase-predictive
 // governor starts unseeded here — pure online learning — so the test also
-// exercises the ObservePhases hook in both engines.
+// exercises the ObservePhases hook.
 func governorFactories(t *testing.T, prof *machine.Profile, cfg machine.Config) map[string]func(int) dvfs.Governor {
 	t.Helper()
 	var levels []float64
@@ -47,12 +48,14 @@ func governorFactories(t *testing.T, prof *machine.Profile, cfg machine.Config) 
 	}
 }
 
-// TestGovernorEngineDifferential mirrors TestEngineDifferential for the
-// governed paths: every governor policy, on every pinned golden
-// configuration, must be bit-for-bit identical between the goroutine and
-// sequential engines — times, energies, communication profile, counter
-// totals and traces.
+// TestGovernorEngineDifferential pins the governed paths: every governor
+// policy, on every golden configuration, must reproduce the recorded
+// governedPins bit for bit — times, energies, communication profile,
+// event and process counts, and the digest of counters, trace and engine
+// counters. The pins were recorded while a goroutine-based engine still
+// ran every case as a differential partner.
 func TestGovernorEngineDifferential(t *testing.T) {
+	gen := os.Getenv("GOLDEN_GEN") != ""
 	for name, req := range goldenCases() {
 		for policy, factory := range governorFactories(t, req.Prof, req.Cfg) {
 			req := req
@@ -60,64 +63,24 @@ func TestGovernorEngineDifferential(t *testing.T) {
 			req.Trace = true
 			req.Metrics = true
 			t.Run(name+"/"+policy, func(t *testing.T) {
-				gor := req
-				gor.Engine = EngineGoroutine
-				resG, err := Run(gor)
+				res, err := Run(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq := req
-				seq.Engine = EngineSequential
-				resS, err := Run(seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resS.Time != resG.Time {
-					t.Errorf("Time diverged: %x vs %x", resS.Time, resG.Time)
-				}
-				if resS.Energy != resG.Energy {
-					t.Errorf("Energy diverged: %+v vs %+v", resS.Energy, resG.Energy)
-				}
-				if resS.MeasuredEnergy != resG.MeasuredEnergy || resS.MeasuredUCR != resG.MeasuredUCR {
-					t.Errorf("measured energy diverged: (%x,%x) vs (%x,%x)",
-						resS.MeasuredEnergy, resS.MeasuredUCR, resG.MeasuredEnergy, resG.MeasuredUCR)
-				}
-				if resS.Comm != resG.Comm {
-					t.Errorf("communication profile diverged:\n got  %+v\n want %+v", resS.Comm, resG.Comm)
-				}
-				if resS.Totals != resG.Totals || resS.MemWait != resG.MemWait {
-					t.Errorf("counter totals diverged:\n got  %+v mem %x\n want %+v mem %x",
-						resS.Totals, resS.MemWait, resG.Totals, resG.MemWait)
-				}
-				if len(resS.Trace) != len(resG.Trace) {
-					t.Fatalf("trace lengths diverged: %d vs %d", len(resS.Trace), len(resG.Trace))
-				}
-				for j := range resG.Trace {
-					if resS.Trace[j] != resG.Trace[j] {
-						t.Fatalf("trace event %d diverged:\n got  %+v\n want %+v",
-							j, resS.Trace[j], resG.Trace[j])
-					}
-				}
-				mg, ms := resG.Metrics.Engine, resS.Metrics.Engine
-				if ms.Events != mg.Events || ms.Lookaheads != mg.Lookaheads ||
-					ms.Regions != mg.Regions || ms.Messages != mg.Messages ||
-					ms.HeapHighWater != mg.HeapHighWater || ms.MsgBytes != mg.MsgBytes {
-					t.Errorf("engine counters diverged:\n got  %+v\n want %+v", ms, mg)
-				}
+				checkPin(t, gen, name+"/"+policy, pinOf(res), governedPins)
 				// A Fixed governor at the starting frequency is the static
 				// oracle: bit-identical to the ungoverned run.
 				if policy == dvfs.PolicyFixed {
 					plain := req
 					plain.Governor = nil
-					plain.Engine = EngineGoroutine
 					resP, err := Run(plain)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if resG.Time != resP.Time || resG.Energy != resP.Energy ||
-						resG.MeasuredEnergy != resP.MeasuredEnergy || resG.Comm != resP.Comm {
+					if res.Time != resP.Time || res.Energy != resP.Energy ||
+						res.MeasuredEnergy != resP.MeasuredEnergy || res.Comm != resP.Comm {
 						t.Errorf("fixed governor perturbed the ungoverned run:\n got  %+v\n want %+v",
-							resG, resP)
+							res, resP)
 					}
 				}
 			})

@@ -68,36 +68,32 @@ func TestPhaseSinkInvisible(t *testing.T) {
 // TestPhaseTotalsMatchSink: PhaseTotals, which sums the phases as they
 // happen without storing the timeline, reports exactly trace.Summary of
 // the timeline PhaseSink receives for the same run — bit for bit, on
-// every golden case and both engines — and perturbs nothing.
+// every golden case — and perturbs nothing.
 func TestPhaseTotalsMatchSink(t *testing.T) {
 	for name, req := range goldenCases() {
-		for _, engine := range Engines() {
-			req := req
-			req.Engine = engine
-			var events []trace.Event
-			sunk := req
-			sunk.PhaseSink = func(_ string, evs []trace.Event) { events = evs }
-			base, err := Run(sunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var totals map[int]map[trace.Kind]float64
-			summed := req
-			summed.PhaseTotals = func(tot map[int]map[trace.Kind]float64) { totals = tot }
-			res, err := Run(summed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Time != base.Time || res.Energy != base.Energy || res.MeasuredEnergy != base.MeasuredEnergy {
-				t.Fatalf("%s/%s: PhaseTotals perturbed the run", name, engine)
-			}
-			if len(totals) == 0 || !reflect.DeepEqual(totals, trace.Summary(events)) {
-				t.Fatalf("%s/%s: PhaseTotals %v, want trace.Summary of the sink timeline %v",
-					name, engine, totals, trace.Summary(events))
-			}
-			if len(res.Trace) != 0 {
-				t.Errorf("%s/%s: PhaseTotals populated Result.Trace", name, engine)
-			}
+		var events []trace.Event
+		sunk := req
+		sunk.PhaseSink = func(_ string, evs []trace.Event) { events = evs }
+		base, err := Run(sunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var totals map[int]map[trace.Kind]float64
+		summed := req
+		summed.PhaseTotals = func(tot map[int]map[trace.Kind]float64) { totals = tot }
+		res, err := Run(summed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Time != base.Time || res.Energy != base.Energy || res.MeasuredEnergy != base.MeasuredEnergy {
+			t.Fatalf("%s: PhaseTotals perturbed the run", name)
+		}
+		if len(totals) == 0 || !reflect.DeepEqual(totals, trace.Summary(events)) {
+			t.Fatalf("%s: PhaseTotals %v, want trace.Summary of the sink timeline %v",
+				name, totals, trace.Summary(events))
+		}
+		if len(res.Trace) != 0 {
+			t.Errorf("%s: PhaseTotals populated Result.Trace", name)
 		}
 	}
 }

@@ -322,6 +322,29 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 		{"sweep oversized body", "/v1/sweep", huge, 413},
 		{"advise oversized body", "/v1/advise", huge, 413},
 	}
+	// The "engine" field is a no-op alias: no engine, "sequential" and
+	// "goroutine" get byte-identical 200 answers (checked across the
+	// aliases below), and "warp-drive" the same 400 from gateway and shard.
+	aliasBodies := map[string]string{
+		"/v1/predict": `{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"freq_ghz":1.8`,
+		"/v1/batch":   `{"class":"S","tuples":[{"system":"xeon","program":"SP","nodes":2,"cores":2},{"system":"arm","program":"SP","nodes":2,"cores":2}]`,
+		"/v1/sweep":   `{"system":"xeon","program":"SP","class":"S","pow2":true`,
+		"/v1/advise":  `{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"policies":["fixed","slack"]`,
+	}
+	aliases := map[string]string{"no engine": "", "engine sequential": `,"engine":"sequential"`, "engine goroutine": `,"engine":"goroutine"`}
+	for _, route := range []string{"/v1/predict", "/v1/batch", "/v1/sweep", "/v1/advise"} {
+		for name, alias := range aliases {
+			cases = append(cases, struct {
+				name, url, body string
+				want            int
+			}{route[4:] + " " + name, route, aliasBodies[route] + alias + "}", 200})
+		}
+		cases = append(cases, struct {
+			name, url, body string
+			want            int
+		}{route[4:] + " engine warp-drive", route, aliasBodies[route] + `,"engine":"warp-drive"}`, 400})
+	}
+	answers := map[string][]byte{} // route -> the 200 answer of the first alias
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, viaGateway := post(t, gts.URL+tc.url, tc.body, nil)
@@ -334,6 +357,13 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 			}
 			if string(viaGateway) != string(direct) {
 				t.Errorf("gateway and shard answer differently:\ngateway: %s\nshard:   %s", viaGateway, direct)
+			}
+			if tc.want == 200 {
+				if prev, ok := answers[tc.url]; !ok {
+					answers[tc.url] = direct
+				} else if string(prev) != string(direct) {
+					t.Errorf("engine alias changed the %s answer:\n got  %s\n want %s", tc.url, direct, prev)
+				}
 			}
 		})
 	}

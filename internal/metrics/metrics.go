@@ -158,16 +158,14 @@ func Quantile(buckets [HistBuckets]uint64, q float64) float64 {
 // on top of it) writes while instrumentation is on. One Engine may be
 // shared by several kernels — every field is atomic.
 type Engine struct {
-	// Kernel dispatch accounting. Events = Handoffs + SelfDispatches +
-	// SchedulerDispatches: every dispatched event is classified by who
-	// performed the dispatch (a parking/exiting process handing control
-	// straight to the next process, the process itself via the park fast
-	// path, or the Run caller). Lookahead advances bypass the event queue
-	// entirely and are counted separately.
+	// Kernel dispatch accounting. Events = SelfDispatches +
+	// SchedulerDispatches: a dispatch that resumes the process that just
+	// yielded is a self-dispatch, every other one a scheduler dispatch.
+	// Lookahead advances bypass the event queue entirely and are counted
+	// separately.
 	Events              Counter   // events dispatched by the kernel
-	Handoffs            Counter   // direct process-to-process handoffs
-	SelfDispatches      Counter   // park fast path: next event was the parker's own
-	SchedulerDispatches Counter   // dispatches performed by the Run caller
+	SelfDispatches      Counter   // next event was the yielding process's own
+	SchedulerDispatches Counter   // dispatches that switched process
 	Lookaheads          Counter   // Advance fast path: clock moved, no event
 	HeapHighWater       HighWater // deepest future-event heap observed
 
@@ -188,7 +186,6 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{
 		Events:              e.Events.Load(),
-		Handoffs:            e.Handoffs.Load(),
 		SelfDispatches:      e.SelfDispatches.Load(),
 		SchedulerDispatches: e.SchedulerDispatches.Load(),
 		Lookaheads:          e.Lookaheads.Load(),
@@ -205,7 +202,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // for aggregation across the runs of a sweep.
 type EngineSnapshot struct {
 	Events              uint64
-	Handoffs            uint64
 	SelfDispatches      uint64
 	SchedulerDispatches uint64
 	Lookaheads          uint64
@@ -221,7 +217,6 @@ type EngineSnapshot struct {
 // the maximum.
 func (s *EngineSnapshot) Add(o EngineSnapshot) {
 	s.Events += o.Events
-	s.Handoffs += o.Handoffs
 	s.SelfDispatches += o.SelfDispatches
 	s.SchedulerDispatches += o.SchedulerDispatches
 	s.Lookaheads += o.Lookaheads
@@ -252,7 +247,6 @@ func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot {
 	}
 	d := EngineSnapshot{
 		Events:              sat(s.Events, prev.Events),
-		Handoffs:            sat(s.Handoffs, prev.Handoffs),
 		SelfDispatches:      sat(s.SelfDispatches, prev.SelfDispatches),
 		SchedulerDispatches: sat(s.SchedulerDispatches, prev.SchedulerDispatches),
 		Lookaheads:          sat(s.Lookaheads, prev.Lookaheads),
@@ -271,8 +265,8 @@ func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot {
 // String renders a compact multi-line human summary.
 func (s EngineSnapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events       %d dispatched (%d handoff, %d self, %d scheduler) + %d lookahead advances\n",
-		s.Events, s.Handoffs, s.SelfDispatches, s.SchedulerDispatches, s.Lookaheads)
+	fmt.Fprintf(&b, "events       %d dispatched (%d self, %d scheduler) + %d lookahead advances\n",
+		s.Events, s.SelfDispatches, s.SchedulerDispatches, s.Lookaheads)
 	fmt.Fprintf(&b, "event heap   %d deep at high water\n", s.HeapHighWater)
 	fmt.Fprintf(&b, "task pool    %d reuse hits, %d spawns\n", s.PoolHits, s.PoolSpawns)
 	fmt.Fprintf(&b, "omp          %d parallel regions\n", s.Regions)

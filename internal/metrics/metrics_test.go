@@ -101,16 +101,16 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestEngineSnapshotSub(t *testing.T) {
-	a := EngineSnapshot{Events: 100, Handoffs: 40, HeapHighWater: 9, Messages: 12}
+	a := EngineSnapshot{Events: 100, SelfDispatches: 40, HeapHighWater: 9, Messages: 12}
 	a.MsgBytes[3] = 7
-	b := EngineSnapshot{Events: 30, Handoffs: 50, HeapHighWater: 4, Messages: 2}
+	b := EngineSnapshot{Events: 30, SelfDispatches: 50, HeapHighWater: 4, Messages: 2}
 	b.MsgBytes[3] = 2
 	d := a.Sub(b)
 	if d.Events != 70 || d.Messages != 10 || d.MsgBytes[3] != 5 {
 		t.Fatalf("delta wrong: %+v", d)
 	}
-	if d.Handoffs != 0 {
-		t.Fatalf("crossed counters must saturate at 0, got %d", d.Handoffs)
+	if d.SelfDispatches != 0 {
+		t.Fatalf("crossed counters must saturate at 0, got %d", d.SelfDispatches)
 	}
 	if d.HeapHighWater != 9 {
 		t.Fatalf("high water keeps the current value, got %d", d.HeapHighWater)
@@ -118,11 +118,11 @@ func TestEngineSnapshotSub(t *testing.T) {
 }
 
 func TestEngineSnapshotAdd(t *testing.T) {
-	a := EngineSnapshot{Events: 10, Handoffs: 4, HeapHighWater: 7, Messages: 2}
-	b := EngineSnapshot{Events: 5, Handoffs: 1, HeapHighWater: 3, Messages: 8}
+	a := EngineSnapshot{Events: 10, SelfDispatches: 4, HeapHighWater: 7, Messages: 2}
+	b := EngineSnapshot{Events: 5, SelfDispatches: 1, HeapHighWater: 3, Messages: 8}
 	b.MsgBytes[2] = 8
 	a.Add(b)
-	if a.Events != 15 || a.Handoffs != 5 || a.Messages != 10 {
+	if a.Events != 15 || a.SelfDispatches != 5 || a.Messages != 10 {
 		t.Fatalf("sums wrong: %+v", a)
 	}
 	if a.HeapHighWater != 7 {

@@ -125,18 +125,14 @@ func (r *Rank) isend(to int, bytes float64, tag Tag, seq int) {
 	r.node.NetRef(1)
 	m := r.w.newMessage()
 	m.src, m.dst, m.bytes, m.tag, m.seq = r, r.w.ranks[to], bytes, tag, seq
-	if r.w.k.Sequential() {
-		m.op.Set(r.id, to, bytes)
-		r.w.k.GoSeq("mpi.msg", m)
-		return
-	}
-	r.w.k.Go("mpi.msg", courier, m)
+	m.op.Set(r.id, to, bytes)
+	r.w.k.Go("mpi.msg", m)
 }
 
 // message is the in-flight state of one eager send, drawn from the world's
-// free list so steady-state traffic allocates nothing. On the sequential
-// engine the record doubles as the courier Machine, carrying its transfer
-// continuation in op (see seq.go).
+// free list so steady-state traffic allocates nothing. The record doubles
+// as the courier: a des.Machine run on a pooled kernel process, carrying
+// its transfer continuation in op.
 type message struct {
 	src, dst *Rank
 	bytes    float64
@@ -145,16 +141,19 @@ type message struct {
 	op       simnet.TransferOp
 }
 
-// courier drives one message through the network on a pooled kernel
-// process: transfer, drop the sender's NIC reference, deliver, recycle.
-func courier(mp *des.Proc, ctx any) {
-	m := ctx.(*message)
+// Step implements des.Machine: the courier. The message drives its own
+// transfer through the network, then drops the sender's NIC reference,
+// recycles itself and delivers.
+func (m *message) Step(mp *des.Proc) bool {
 	w := m.src.w
-	w.net.Transfer(mp, m.src.id, m.dst.id, m.bytes)
+	if !w.net.TransferStep(&m.op, mp) {
+		return false
+	}
 	m.src.node.NetRef(-1)
 	dst, tag, seq := m.dst, m.tag, m.seq
 	w.freeMessage(m)
 	dst.deliver(tag, seq)
+	return true
 }
 
 // newMessage takes a message from the free list (or allocates the first
@@ -183,24 +182,6 @@ func (r *Rank) deliver(tag Tag, seq int) {
 	r.cond[tag].Broadcast()
 }
 
-// WaitCount blocks the rank's master process p until the cumulative number
-// of messages received with the given tag reaches target. Blocked time is
-// accounted as network wait on core 0 and keeps the NIC active.
-func (r *Rank) WaitCount(p *des.Proc, tag Tag, target int) {
-	if r.received[tag] >= target {
-		return
-	}
-	start := p.Now()
-	r.node.NetRef(1)
-	ws := r.node.NetWaitBegin(0)
-	for r.received[tag] < target {
-		r.cond[tag].Wait(p)
-	}
-	r.node.NetWaitEnd(0, ws)
-	r.node.NetRef(-1)
-	r.waitTime += p.Now() - start
-}
-
 // Received reports the cumulative receive count for a tag.
 func (r *Rank) Received(tag Tag) int { return r.received[tag] }
 
@@ -213,77 +194,198 @@ func ReduceRounds(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
 
-// Allreduce performs a ring-hypercube allreduce of `bytes` per message:
+// The blocking receives and collectives below are resumable ops a rank's
+// master Machine drives across blocks: arm the op, then call its Step
+// method at each resumption until it reports completion (false means it
+// blocked — yield and re-enter).
+
+// waitOp is the shared continuation state of a blocking receive: the
+// NIC hold, core-idle transition and wait-time accounting around a
+// re-checked predicate (WaitCountOp's cumulative count or a collective
+// round's sequence number).
+type waitOp struct {
+	pc    int8
+	start float64
+	ws    float64
+}
+
+// WaitCountOp blocks the rank's master process until the cumulative
+// number of messages received with Tag reaches Target. Blocked time is
+// accounted as network wait on core 0 and keeps the NIC active. Arm Tag
+// and Target, then drive with Rank.WaitCountStep; re-arm by assignment for
+// the next wait.
+type WaitCountOp struct {
+	w      waitOp
+	Tag    Tag
+	Target int
+}
+
+// WaitCountStep drives an armed WaitCountOp: false means the wait blocked
+// (yield and re-enter), true means the target count has been received.
+func (r *Rank) WaitCountStep(op *WaitCountOp, p *des.Proc) bool {
+	switch op.w.pc {
+	case 0:
+		if r.received[op.Tag] >= op.Target {
+			return true
+		}
+		op.w.start = p.Now()
+		r.node.NetRef(1)
+		op.w.ws = r.node.NetWaitBegin(0)
+		op.w.pc = 1
+		fallthrough
+	case 1:
+		if r.received[op.Tag] < op.Target {
+			r.cond[op.Tag].WaitArm(p)
+			return false
+		}
+		r.node.NetWaitEnd(0, op.w.ws)
+		r.node.NetRef(-1)
+		r.waitTime += p.Now() - op.w.start
+		op.w.pc = 0
+		return true
+	}
+	panic("mpi: bad WaitCountOp state")
+}
+
+// waitSeqOp waits until one message with the given collective sequence
+// number has arrived on the tag, with the same NIC/idle accounting as
+// WaitCountOp.
+type waitSeqOp struct {
+	w   waitOp
+	tag Tag
+	seq int
+}
+
+func (r *Rank) waitSeqStep(op *waitSeqOp, p *des.Proc) bool {
+	switch op.w.pc {
+	case 0:
+		if r.seqGot(op.tag, op.seq) {
+			return true
+		}
+		op.w.start = p.Now()
+		r.node.NetRef(1)
+		op.w.ws = r.node.NetWaitBegin(0)
+		op.w.pc = 1
+		fallthrough
+	case 1:
+		if !r.seqGot(op.tag, op.seq) {
+			r.cond[op.tag].WaitArm(p)
+			return false
+		}
+		r.node.NetWaitEnd(0, op.w.ws)
+		r.node.NetRef(-1)
+		r.waitTime += p.Now() - op.w.start
+		op.w.pc = 0
+		return true
+	}
+	panic("mpi: bad waitSeqOp state")
+}
+
+// AllreduceOp is a ring-hypercube allreduce of Bytes per message:
 // ceil(log2 n) rounds in which every rank sends to (id+2^k) mod n and
 // waits for one message — a permutation each round, so it cannot deadlock
-// for any world size. p must be the calling rank's master process.
+// for any world size. It must be driven from the calling rank's master
+// process.
 //
 // Each round is matched exactly by a sequence number (operation x round):
 // the round-k wait is satisfied only by the round-k message from
 // (id-2^k) mod n, which that rank sends only after completing its own
 // round k-1 — the dissemination-barrier dependency chain that makes the
 // operation a true global synchronisation for any world size. Every rank
-// must execute the same collective sequence (SPMD), as in MPI.
-func (r *Rank) Allreduce(p *des.Proc, bytes float64) {
+// must execute the same collective sequence (SPMD), as in MPI. A barrier
+// is an AllreduceOp with Bytes 8, which is how MPI_Barrier costs out on an
+// Ethernet cluster (latency-bound rounds).
+//
+// Arm Bytes, then drive with Rank.AllreduceStep. The op self-resets on
+// completion, so one value serves every iteration of a program loop.
+type AllreduceOp struct {
+	pc     int8
+	Bytes  float64
+	op     int
+	round  int
+	rounds int
+	wait   waitSeqOp
+}
+
+// AllreduceStep drives an armed AllreduceOp: false means a round's wait
+// blocked (yield and re-enter), true means the collective completed.
+func (r *Rank) AllreduceStep(aop *AllreduceOp, p *des.Proc) bool {
 	n := r.w.Size()
-	if n == 1 {
-		return
+	if aop.pc == 0 {
+		if n == 1 {
+			return true
+		}
+		aop.rounds = ReduceRounds(n)
+		aop.op = r.reduceOps
+		r.reduceOps++
+		aop.round = 0
+		aop.pc = 1
 	}
-	rounds := ReduceRounds(n)
-	op := r.reduceOps
-	r.reduceOps++
-	for k := 0; k < rounds; k++ {
-		partner := (r.id + (1 << k)) % n
-		seq := op*rounds + k
-		r.isend(partner, bytes, TagReduce, seq)
-		r.waitSeq(p, TagReduce, seq)
+	for aop.round < aop.rounds {
+		if aop.pc == 1 {
+			partner := (r.id + (1 << aop.round)) % n
+			seq := aop.op*aop.rounds + aop.round
+			r.isend(partner, aop.Bytes, TagReduce, seq)
+			aop.wait = waitSeqOp{tag: TagReduce, seq: seq}
+			aop.pc = 2
+		}
+		if !r.waitSeqStep(&aop.wait, p) {
+			return false
+		}
+		aop.round++
+		aop.pc = 1
 	}
+	aop.pc = 0
+	return true
 }
 
-// waitSeq blocks until one message with the given collective sequence
-// number has arrived on the tag, with the same NIC/idle accounting as
-// WaitCount.
-func (r *Rank) waitSeq(p *des.Proc, tag Tag, seq int) {
-	if r.seqGot(tag, seq) {
-		return
-	}
-	start := p.Now()
-	r.node.NetRef(1)
-	ws := r.node.NetWaitBegin(0)
-	for !r.seqGot(tag, seq) {
-		r.cond[tag].Wait(p)
-	}
-	r.node.NetWaitEnd(0, ws)
-	r.node.NetRef(-1)
-	r.waitTime += p.Now() - start
-}
-
-// Barrier synchronises all ranks using an 8-byte allreduce, which is how
-// MPI_Barrier costs out on an Ethernet cluster (latency-bound rounds).
-func (r *Rank) Barrier(p *des.Proc) { r.Allreduce(p, 8) }
-
-// Alltoall performs a personalised all-to-all exchange: every rank sends
-// `bytes` to each of the other n-1 ranks and waits for the n-1 messages
+// AlltoallOp is a personalised all-to-all exchange: every rank sends
+// Bytes to each of the other n-1 ranks and waits for the n-1 messages
 // addressed to it, using a rotation schedule (step k sends to (id+k) mod
 // n, a permutation per step). Rank id's step-k receipt comes from
 // (id-k) mod n and is matched exactly by an (operation, step) sequence
 // number. All n-1 sends are posted eagerly before waiting, so the exchange
-// pipelines through the switch. Like Allreduce it is a synchronising
-// collective; every rank must call it the same number of times (SPMD).
-func (r *Rank) Alltoall(p *des.Proc, bytes float64) {
+// pipelines through the switch. Like AllreduceOp it is a synchronising
+// collective; every rank must run it the same number of times (SPMD).
+// Arm Bytes (the per-peer message volume), then drive with
+// Rank.AlltoallStep; self-resetting like AllreduceOp.
+type AlltoallOp struct {
+	pc    int8
+	Bytes float64
+	base  int
+	step  int
+	wait  waitSeqOp
+}
+
+// AlltoallStep drives an armed AlltoallOp: all n-1 sends are posted
+// eagerly on first entry, then the step waits are drained in order.
+func (r *Rank) AlltoallStep(aop *AlltoallOp, p *des.Proc) bool {
 	n := r.w.Size()
-	if n == 1 {
-		return
+	if aop.pc == 0 {
+		if n == 1 {
+			return true
+		}
+		aop.base = r.a2aOps * (n - 1)
+		r.a2aOps++
+		for step := 1; step < n; step++ {
+			r.isend((r.id+step)%n, aop.Bytes, TagAll2All, aop.base+step-1)
+		}
+		aop.step = 1
+		aop.pc = 1
 	}
-	base := r.a2aOps * (n - 1)
-	r.a2aOps++
-	for step := 1; step < n; step++ {
-		dst := (r.id + step) % n
-		r.isend(dst, bytes, TagAll2All, base+step-1)
+	for aop.step < n {
+		if aop.pc == 1 {
+			aop.wait = waitSeqOp{tag: TagAll2All, seq: aop.base + aop.step - 1}
+			aop.pc = 2
+		}
+		if !r.waitSeqStep(&aop.wait, p) {
+			return false
+		}
+		aop.step++
+		aop.pc = 1
 	}
-	for step := 1; step < n; step++ {
-		r.waitSeq(p, TagAll2All, base+step-1)
-	}
+	aop.pc = 0
+	return true
 }
 
 // Profile is the mpiP-style communication summary of a run.

@@ -53,50 +53,84 @@ func Measure(prof *machine.Profile, sizes []float64, reps int) ([]Point, error) 
 	}
 
 	k := des.NewKernel()
-	defer k.Shutdown()
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),
 		node.New(k, prof, 1, 1, prof.FMax(), nil),
 	}
 	world := mpi.NewWorld(k, sw, nodes)
-
-	points := make([]Point, 0, len(sizes))
-	// Rank 1 echoes every message it receives, forever (it ends when the
-	// kernel runs out of rank-0 events and detects rank1 halted — which we
-	// avoid by having rank 1 stop after the known total).
-	total := len(sizes) * reps
-	k.Spawn("echo", func(p *des.Proc) {
-		r := world.Rank(1)
-		sent := 0
-		for _, size := range sizes {
-			for i := 0; i < reps; i++ {
-				r.WaitCount(p, mpi.TagHalo, sent+1)
-				sent++
-				r.Isend(0, size, mpi.TagHalo)
-			}
-		}
-		_ = total
-	})
-	k.Spawn("pingpong", func(p *des.Proc) {
-		r := world.Rank(0)
-		got := 0
-		for _, size := range sizes {
-			start := p.Now()
-			for i := 0; i < reps; i++ {
-				r.Isend(1, size, mpi.TagHalo)
-				got++
-				r.WaitCount(p, mpi.TagHalo, got)
-			}
-			rtt := (p.Now() - start) / float64(reps)
-			lat := rtt / 2
-			points = append(points, Point{Bytes: size, Latency: lat, Throughput: size / lat})
-		}
-	})
+	k.Spawn("echo", &echo{r: world.Rank(1), sizes: sizes, reps: reps})
+	pp := &pingPong{r: world.Rank(0), sizes: sizes, reps: reps, points: make([]Point, 0, len(sizes))}
+	k.Spawn("pingpong", pp)
 	if err := k.Run(math.Inf(1)); err != nil {
 		return nil, fmt.Errorf("netpipe: %w", err)
 	}
-	return points, nil
+	return pp.points, nil
+}
+
+// echo is rank 1 of the ping-pong: it returns every message it receives,
+// stopping after the known total (len(sizes) x reps messages).
+type echo struct {
+	r       *mpi.Rank
+	sizes   []float64
+	reps    int
+	sent    int
+	wc      mpi.WaitCountOp
+	waiting bool
+}
+
+func (m *echo) Step(p *des.Proc) bool {
+	for m.sent < len(m.sizes)*m.reps {
+		if !m.waiting {
+			m.wc = mpi.WaitCountOp{Tag: mpi.TagHalo, Target: m.sent + 1}
+			m.waiting = true
+		}
+		if !m.r.WaitCountStep(&m.wc, p) {
+			return false
+		}
+		m.waiting = false
+		m.r.Isend(0, m.sizes[m.sent/m.reps], mpi.TagHalo)
+		m.sent++
+	}
+	return true
+}
+
+// pingPong is rank 0 of the ping-pong: reps round trips per size, timing
+// each size's mean round trip into one point.
+type pingPong struct {
+	r       *mpi.Rank
+	sizes   []float64
+	reps    int
+	got     int
+	start   float64
+	wc      mpi.WaitCountOp
+	waiting bool
+	points  []Point
+}
+
+func (m *pingPong) Step(p *des.Proc) bool {
+	for m.got < len(m.sizes)*m.reps {
+		size := m.sizes[m.got/m.reps]
+		if !m.waiting {
+			if m.got%m.reps == 0 {
+				m.start = p.Now()
+			}
+			m.r.Isend(1, size, mpi.TagHalo)
+			m.wc = mpi.WaitCountOp{Tag: mpi.TagHalo, Target: m.got + 1}
+			m.waiting = true
+		}
+		if !m.r.WaitCountStep(&m.wc, p) {
+			return false
+		}
+		m.waiting = false
+		m.got++
+		if m.got%m.reps == 0 {
+			rtt := (p.Now() - m.start) / float64(m.reps)
+			lat := rtt / 2
+			m.points = append(m.points, Point{Bytes: size, Latency: lat, Throughput: size / lat})
+		}
+	}
+	return true
 }
 
 // Fit performs the least-squares fit of latency against message size,

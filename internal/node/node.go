@@ -195,71 +195,10 @@ func (n *Node) Energy() EnergyBreakdown {
 	return n.energy
 }
 
-// Compute executes `units` abstract work units on the given core: the core
-// runs in the active state for the ISA-dependent cycle count, inflated by
-// the program/ISA pipeline-stall fraction bFrac and (if a jitter stream is
-// attached) by OS noise. Work and non-memory stall cycles are counted
-// separately, as a hardware counter would report them.
-func (n *Node) Compute(p *des.Proc, core int, units, bFrac float64) {
-	if units <= 0 {
-		return
-	}
-	j := 1.0
-	if n.jitter != nil {
-		j = n.jitter.Jitter(n.prof.OSJitter)
-	}
-	workT := units * n.prof.CyclesPerWork / n.freq * j
-	bT := workT * bFrac * n.prof.BaseStallFrac
-	start := n.k.Now()
-	n.setState(core, Act)
-	p.Advance(workT + bT)
-	c := &n.Ctrs[core]
-	c.WorkTime += workT
-	c.BStallTime += bT
-	c.Instructions += units * j
-	n.setState(core, Idle)
-	if n.rec != nil && core == 0 {
-		n.rec.Add(n.ID, trace.Compute, start, n.k.Now())
-	}
-}
-
-// MemAccess stalls the given core on a memory burst of the given DRAM
-// traffic (bytes, already scaled by the profile's MemTrafficFactor). The
-// burst has a private portion — the core alone cannot saturate the
-// controller — and a shared portion serialised at the node's memory
-// controller, where queueing against the other cores produces the
-// contention-driven stall growth the model's ms(c,f) input captures.
-func (n *Node) MemAccess(p *des.Proc, core int, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	start := n.k.Now()
-	n.setState(core, Stall)
-	private := bytes*(1/n.prof.MemCoreBandwidth-1/n.prof.MemBandwidth) + n.prof.MemFixedLat
-	if private > 0 {
-		p.Advance(private)
-	}
-	shared := bytes / n.prof.MemBandwidth
-	wait := n.memctl.Serve(p, shared)
-	n.Ctrs[core].MemStallTime += private + wait + shared
-	n.setState(core, Idle)
-	if n.rec != nil && core == 0 {
-		n.rec.Add(n.ID, trace.MemStall, start, n.k.Now())
-	}
-}
-
-// NetWait blocks the core-owning process in fn (typically a Recv) and
-// accounts the elapsed time as network wait on that core. The core is idle
-// for power purposes; the NIC reference is held by the caller.
-func (n *Node) NetWait(core int, fn func()) {
-	start := n.NetWaitBegin(core)
-	fn()
-	n.NetWaitEnd(core, start)
-}
-
-// NetWaitBegin marks the core idle for a network wait and returns the wait
-// start time. Paired with NetWaitEnd, it is the closure-free form of
-// NetWait for hot paths (one pair per MPI wait, no allocation).
+// NetWaitBegin marks the core idle for a network wait (typically a
+// blocked receive) and returns the wait start time; NetWaitEnd accounts
+// the elapsed wait on that core. The core is idle for power purposes; the
+// NIC reference is held by the caller.
 func (n *Node) NetWaitBegin(core int) float64 {
 	n.setState(core, Idle)
 	return n.k.Now()

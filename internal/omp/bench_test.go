@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
 // BenchmarkParallelRegion measures the fork-join cost of one 8-thread
@@ -14,13 +15,9 @@ func BenchmarkParallelRegion(b *testing.B) {
 	k := des.NewKernel()
 	tm := team(k, 8)
 	f := tm.Node().Freq()
-	k.Spawn("master", func(p *des.Proc) {
-		for i := 0; i < b.N; i++ {
-			tm.Parallel(p, func(th *Thread) {
-				th.Compute(f*1e-6*float64(th.ID+1), 0)
-			})
-		}
-	})
+	k.Spawn("master", destest.Script(destest.Repeat(b.N,
+		parallel(tm, func(tid int) destest.Op { return compute(tm, tid, f*1e-6*float64(tid+1)) }),
+	)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(math.Inf(1)); err != nil {

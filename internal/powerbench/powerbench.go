@@ -47,12 +47,47 @@ func meterRead(energy, duration float64, prof *machine.Profile, noise *rng.Strea
 	return p
 }
 
+// hold is a micro-benchmark process that runs start (if any) and then
+// holds the node for benchDuration.
+type hold struct {
+	start func()
+	armed bool
+}
+
+func (m *hold) Step(p *des.Proc) bool {
+	if m.armed {
+		return true
+	}
+	m.armed = true
+	if m.start != nil {
+		m.start()
+	}
+	return p.AdvanceArm(benchDuration)
+}
+
+// untilDone is a micro-benchmark process that repeats one stepped node
+// burst on its core until benchDuration has passed.
+type untilDone struct {
+	burst   func(p *des.Proc) bool
+	inBurst bool
+}
+
+func (m *untilDone) Step(p *des.Proc) bool {
+	for m.inBurst || p.Now() < benchDuration {
+		m.inBurst = true
+		if !m.burst(p) {
+			return false
+		}
+		m.inBurst = false
+	}
+	return true
+}
+
 // runIdle measures the idle node power.
 func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown()
 	nd := node.New(k, prof, 0, 1, prof.FMax(), nil)
-	k.Spawn("idle", func(p *des.Proc) { p.Advance(benchDuration) })
+	k.Spawn("idle", &hold{})
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
 	}
@@ -62,16 +97,14 @@ func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 // runSpin measures node power with c cores spinning pure compute at f.
 func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown()
 	nd := node.New(k, prof, 0, c, f, nil)
 	chunk := 0.25 * f / prof.CyclesPerWork // work units per 0.25 s slice
 	for core := 0; core < c; core++ {
-		core := core
-		k.Spawn(fmt.Sprintf("spin%d", core), func(p *des.Proc) {
-			for p.Now() < benchDuration {
-				nd.Compute(p, core, chunk, 0)
-			}
-		})
+		op := &node.ComputeOp{}
+		op.Set(chunk, 0)
+		k.Spawn(fmt.Sprintf("spin%d", core), &untilDone{burst: func(p *des.Proc) bool {
+			return nd.ComputeStep(op, p, core)
+		}})
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
@@ -84,16 +117,14 @@ func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float6
 // memory (a pointer-chase analogue) at f.
 func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown()
 	nd := node.New(k, prof, 0, c, f, nil)
 	burst := prof.MemBandwidth * 0.25 / float64(c) // ~0.25 s per round at saturation
 	for core := 0; core < c; core++ {
-		core := core
-		k.Spawn(fmt.Sprintf("chase%d", core), func(p *des.Proc) {
-			for p.Now() < benchDuration {
-				nd.MemAccess(p, core, burst)
-			}
-		})
+		op := &node.MemOp{}
+		op.Set(burst)
+		k.Spawn(fmt.Sprintf("chase%d", core), &untilDone{burst: func(p *des.Proc) bool {
+			return nd.MemStep(op, p, core)
+		}})
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
@@ -105,7 +136,6 @@ func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float
 // runNet measures the sender-node power of a saturated outbound stream.
 func runNet(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown()
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),
@@ -115,13 +145,12 @@ func runNet(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	msg := 1 << 20 // 1 MiB messages keep the NIC busy
 	perMsg := prof.MsgServiceTime(float64(msg))
 	count := int(benchDuration/perMsg) + 1
-	k.Spawn("stream", func(p *des.Proc) {
+	k.Spawn("stream", &hold{start: func() {
 		r := world.Rank(0)
 		for i := 0; i < count; i++ {
 			r.Isend(1, float64(msg), mpi.TagHalo)
 		}
-		p.Advance(benchDuration)
-	})
+	}})
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
 	}

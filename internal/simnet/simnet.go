@@ -23,14 +23,10 @@ import (
 
 // Network is the interconnect abstraction the MPI runtime sends through.
 type Network interface {
-	// Transfer moves one message from node src to node dst on behalf of
-	// process p, blocking p for queueing plus service; it returns the
-	// queueing delay and the service time.
-	Transfer(p *des.Proc, src, dst int, bytes float64) (wait, service float64)
-	// TransferStep is Transfer in continuation form for the sequential
-	// engine: op must have been armed with TransferOp.Set. False means the
-	// transfer blocked (the calling Machine must yield and re-enter), true
-	// means it completed with the op re-armed for the next Set.
+	// TransferStep moves one message, armed in op with TransferOp.Set, on
+	// behalf of process p: queueing plus service. False means the transfer
+	// blocked (the calling Machine must yield and re-enter), true means it
+	// completed with the op ready for the next Set.
 	TransferStep(op *TransferOp, p *des.Proc) bool
 	// ServiceTime exposes the uncontended service time for a message size.
 	ServiceTime(bytes float64) float64
@@ -47,6 +43,22 @@ func New(k *des.Kernel, prof *machine.Profile, n int) Network {
 	return NewSwitch(k, prof)
 }
 
+// TransferOp is the continuation state of one in-flight message transfer.
+type TransferOp struct {
+	pc       int8
+	src, dst int
+	bytes    float64
+	service  float64
+	enq      float64
+	start    float64
+	wait     float64
+}
+
+// Set arms the op for one transfer from node src to node dst.
+func (op *TransferOp) Set(src, dst int, bytes float64) {
+	op.src, op.dst, op.bytes = src, dst, bytes
+}
+
 // Switch is the shared-medium cluster switch (single FCFS server).
 type Switch struct {
 	prof *machine.Profile
@@ -58,11 +70,32 @@ func NewSwitch(k *des.Kernel, prof *machine.Profile) *Switch {
 	return &Switch{prof: prof, res: des.NewResource(k, "switch")}
 }
 
-// Transfer implements Network: every message serialises at the one server.
-func (s *Switch) Transfer(p *des.Proc, _, _ int, bytes float64) (wait, service float64) {
-	service = s.prof.MsgServiceTime(bytes)
-	wait = s.res.Serve(p, service)
-	return wait, service
+// TransferStep implements Network: the single shared server, acquired,
+// held for the service time and released: every message serialises at
+// the one server.
+func (s *Switch) TransferStep(op *TransferOp, p *des.Proc) bool {
+	switch op.pc {
+	case 0:
+		op.service = s.prof.MsgServiceTime(op.bytes)
+		op.enq = p.Now()
+		op.pc = 1
+		if !s.res.AcquireArm(p) {
+			return false
+		}
+		fallthrough
+	case 1:
+		s.res.AcquireDone(op.enq)
+		op.pc = 2
+		if !p.AdvanceArm(op.service) {
+			return false
+		}
+		fallthrough
+	case 2:
+		s.res.ServeDone(op.service)
+		op.pc = 0
+		return true
+	}
+	panic("simnet: bad TransferOp state")
 }
 
 // ServiceTime implements Network.
@@ -98,23 +131,48 @@ func NewCrossbar(k *des.Kernel, prof *machine.Profile, n int) *Crossbar {
 	return x
 }
 
-// Transfer implements Network.
-func (x *Crossbar) Transfer(p *des.Proc, src, dst int, bytes float64) (wait, service float64) {
-	if src < 0 || src >= len(x.egress) || dst < 0 || dst >= len(x.ingress) {
-		panic(fmt.Sprintf("simnet: crossbar transfer %d->%d outside %d ports", src, dst, len(x.egress)))
+// TransferStep implements Network: egress then ingress port acquisition,
+// cut-through service, reverse release.
+func (x *Crossbar) TransferStep(op *TransferOp, p *des.Proc) bool {
+	switch op.pc {
+	case 0:
+		if op.src < 0 || op.src >= len(x.egress) || op.dst < 0 || op.dst >= len(x.ingress) {
+			panic(fmt.Sprintf("simnet: crossbar transfer %d->%d outside %d ports", op.src, op.dst, len(x.egress)))
+		}
+		op.service = x.prof.MsgServiceTime(op.bytes)
+		op.start = p.Now()
+		op.enq = p.Now()
+		op.pc = 1
+		if !x.egress[op.src].AcquireArm(p) {
+			return false
+		}
+		fallthrough
+	case 1:
+		x.egress[op.src].AcquireDone(op.enq)
+		op.enq = p.Now()
+		op.pc = 2
+		if !x.ingress[op.dst].AcquireArm(p) {
+			return false
+		}
+		fallthrough
+	case 2:
+		x.ingress[op.dst].AcquireDone(op.enq)
+		op.wait = p.Now() - op.start
+		op.pc = 3
+		if !p.AdvanceArm(op.service) {
+			return false
+		}
+		fallthrough
+	case 3:
+		x.ingress[op.dst].Release()
+		x.egress[op.src].Release()
+		x.served++
+		x.totalWait += op.wait
+		x.totalSvc += op.service
+		op.pc = 0
+		return true
 	}
-	service = x.prof.MsgServiceTime(bytes)
-	start := p.Now()
-	x.egress[src].Acquire(p)
-	x.ingress[dst].Acquire(p)
-	wait = p.Now() - start
-	p.Advance(service)
-	x.ingress[dst].Release()
-	x.egress[src].Release()
-	x.served++
-	x.totalWait += wait
-	x.totalSvc += service
-	return wait, service
+	panic("simnet: bad TransferOp state")
 }
 
 // ServiceTime implements Network.

@@ -5,26 +5,40 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/machine"
 )
+
+// transfer is a scripted message transfer through net that records its
+// completion time in *done when done is non-nil.
+func transfer(net Network, src, dst int, bytes float64, done *float64) destest.Op {
+	var op TransferOp
+	return func(p *des.Proc) bool {
+		op.Set(src, dst, bytes)
+		if !net.TransferStep(&op, p) {
+			return false
+		}
+		if done != nil {
+			*done = p.Now()
+		}
+		return true
+	}
+}
 
 func TestTransferServiceMatchesProfile(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	sw := NewSwitch(k, prof)
-	var wait, service float64
-	k.Spawn("m", func(p *des.Proc) {
-		wait, service = sw.Transfer(p, 0, 1, 1<<20)
-	})
+	k.Spawn("m", destest.Script(transfer(sw, 0, 1, 1<<20, nil)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if wait != 0 {
-		t.Fatalf("uncontended wait = %g", wait)
+	if s := sw.Stats(); s.Served != 1 || s.TotalWait != 0 {
+		t.Fatalf("uncontended transfer stats %+v, want one served without waiting", s)
 	}
 	want := prof.MsgServiceTime(1 << 20)
-	if math.Abs(service-want) > 1e-12 {
-		t.Fatalf("service = %g, want %g", service, want)
+	if s := sw.Stats(); math.Abs(s.TotalService-want) > 1e-12 {
+		t.Fatalf("service = %g, want %g", s.TotalService, want)
 	}
 	if math.Abs(k.Now()-want) > 1e-12 {
 		t.Fatalf("elapsed = %g, want %g", k.Now(), want)
@@ -39,18 +53,16 @@ func TestSwitchContention(t *testing.T) {
 	k := des.NewKernel()
 	sw := NewSwitch(k, prof)
 	const n = 4
-	waits := make([]float64, n)
+	done := make([]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("m", func(p *des.Proc) {
-			waits[i], _ = sw.Transfer(p, i, 0, 1<<20)
-		})
+		k.Spawn("m", destest.Script(transfer(sw, i, 0, 1<<20, &done[i])))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	svc := prof.MsgServiceTime(1 << 20)
-	for i, w := range waits {
+	for i, d := range done {
+		w := d - svc // every message is posted at t=0
 		want := float64(i) * svc
 		if math.Abs(w-want) > 1e-9 {
 			t.Fatalf("message %d wait = %g, want %g (FCFS serialization)", i, w, want)
@@ -84,14 +96,8 @@ func TestCrossbarDisjointPairsParallel(t *testing.T) {
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 4)
 	done := make([]float64, 2)
-	k.Spawn("a", func(p *des.Proc) {
-		x.Transfer(p, 0, 1, 1<<20)
-		done[0] = p.Now()
-	})
-	k.Spawn("b", func(p *des.Proc) {
-		x.Transfer(p, 2, 3, 1<<20)
-		done[1] = p.Now()
-	})
+	k.Spawn("a", destest.Script(transfer(x, 0, 1, 1<<20, &done[0])))
+	k.Spawn("b", destest.Script(transfer(x, 2, 3, 1<<20, &done[1])))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +116,7 @@ func TestCrossbarIncastSerializes(t *testing.T) {
 	x := NewCrossbar(k, prof, n)
 	var last float64
 	for i := 1; i < n; i++ {
-		i := i
-		k.Spawn("s", func(p *des.Proc) {
-			x.Transfer(p, i, 0, 1<<20)
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		k.Spawn("s", destest.Script(transfer(x, i, 0, 1<<20, &last))) // completions are in time order
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -134,13 +134,8 @@ func TestCrossbarSenderSerializes(t *testing.T) {
 	x := NewCrossbar(k, prof, 4)
 	var last float64
 	for i := 1; i < 4; i++ {
-		i := i
-		k.Spawn("m", func(p *des.Proc) {
-			x.Transfer(p, 0, i, 1<<20) // one source, distinct destinations
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		// One source, distinct destinations; completions are in time order.
+		k.Spawn("m", destest.Script(transfer(x, 0, i, 1<<20, &last)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -155,10 +150,7 @@ func TestCrossbarStats(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 2)
-	k.Spawn("m", func(p *des.Proc) {
-		x.Transfer(p, 0, 1, 1<<20)
-		x.Transfer(p, 0, 1, 1<<20)
-	})
+	k.Spawn("m", destest.Script(transfer(x, 0, 1, 1<<20, nil), transfer(x, 0, 1, 1<<20, nil)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +170,7 @@ func TestCrossbarInvalidPortPanics(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 2)
-	k.Spawn("m", func(p *des.Proc) { x.Transfer(p, 0, 7, 8) })
+	k.Spawn("m", destest.Script(transfer(x, 0, 7, 8, nil)))
 	if err := k.Run(math.Inf(1)); err == nil {
 		t.Fatal("out-of-range port accepted")
 	}

@@ -63,11 +63,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !checkEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/advise", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -109,12 +107,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		slog.String("system", req.System),
 		slog.String("program", req.Program),
 		slog.String("class", class),
-		slog.String("engine", engine),
 		slog.Int("nodes", nodes),
 		slog.Int("cores", cores))
 
 	key := adviseCacheKey(req.System, req.Program, class, nodes, cores, policies, slowdown)
-	s.respondCached(w, r, "/v1/advise", engine, key, func() (*cachedResponse, error) {
+	s.respondCached(w, r, "/v1/advise", key, func() (*cachedResponse, error) {
 		// An advisory evaluation runs the DES once per policy plus the
 		// baseline — always the heavy path, so it always counts against
 		// the campaign budget, exactly like a sweep. The flight leader's
@@ -125,7 +122,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("advise: %w", errSaturated)
 		}
 		defer release()
-		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, engine, true)
+		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -138,9 +135,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			MaxSlowdown:   slowdown,
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
-			Engine:        engine,
 			Ctx:           r.Context(),
-			SharedMetrics: s.engines[engine],
+			SharedMetrics: s.eng,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("advise failed: %w", err)

@@ -206,19 +206,19 @@ func TestAdvisePolicySubset(t *testing.T) {
 	}
 }
 
-// TestAdviseEngineSharesCacheEntry: engine is excluded from the cache key
-// — both engines are bit-identical by construction — so a
-// sequential-engine request replays a goroutine-engine entry.
+// TestAdviseEngineSharesCacheEntry: the engine field is a no-op alias
+// excluded from the cache key, so a request naming an engine replays the
+// entry of one that does not.
 func TestAdviseEngineSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, raw := postJSON(t, ts.URL+"/v1/advise", adviseBody)
 	resp2, raw2 := postJSON(t, ts.URL+"/v1/advise",
-		`{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"engine":"sequential"}`)
+		`{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"engine":"goroutine"}`)
 	if got := resp2.Header.Get("X-Response-Cache"); got != "hit" {
-		t.Errorf("sequential-engine advise missed the cache: %q", got)
+		t.Errorf("engine-alias advise missed the cache: %q", got)
 	}
 	if !bytes.Equal(raw, raw2) {
-		t.Error("advise responses differ across engines")
+		t.Error("advise responses differ across engine aliases")
 	}
 }
 

@@ -59,16 +59,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.batchMemo != nil {
 		if m, ok := s.batchMemo.get(body); ok {
 			if resp, hit := s.respCache.peek(m.key); hit {
-				s.mByEngine.With("/v1/batch", m.engine).Inc()
 				annotate(r.Context(),
 					slog.String("class", m.class),
-					slog.String("engine", m.engine),
 					slog.Int("tuples", m.tuples),
 					slog.Int("unique", m.unique))
 				if rt != nil {
 					rt.AddSpan("handler", "cache-lookup", tDecode, time.Now())
 				}
-				s.writeCached(w, r, "/v1/batch", m.engine, resp, cacheHit)
+				s.writeCached(w, r, "/v1/batch", resp, cacheHit)
 				return
 			}
 		}
@@ -88,11 +86,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !checkEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/batch", engine).Inc()
 	class := api.Class(req.Class)
 	groups, canon, err := api.CanonBatch(&req, s.catalogue, sc.groups[:0], sc.canon[:0])
 	sc.groups, sc.canon = groups, canon[:0] // keep the growth
@@ -118,7 +114,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	annotate(r.Context(),
 		slog.String("class", class),
-		slog.String("engine", engine),
 		slog.Int("tuples", len(req.Tuples)),
 		slog.Int("unique", len(canon)))
 
@@ -126,20 +121,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.batchMemo != nil {
 		s.batchMemo.put(body, memoEntry{
 			key:    key,
-			engine: engine,
 			class:  class,
 			tuples: len(req.Tuples),
 			unique: len(canon),
 		})
 	}
-	s.respondCached(w, r, "/v1/batch", engine, key, func() (*cachedResponse, error) {
+	s.respondCached(w, r, "/v1/batch", key, func() (*cachedResponse, error) {
 		release, ok := s.acquire()
 		if !ok {
 			return nil, fmt.Errorf("batch: %w", errSaturated)
 		}
 		defer release()
 		t0 := time.Now()
-		ngroups, err := s.evaluateBatch(r, sc, canon, engine, workers)
+		ngroups, err := s.evaluateBatch(r, sc, canon, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +153,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // of sc.cfgs. It returns the number of groups. The caller already holds
 // an admission slot, so cold characterisations triggered here don't
 // claim a second one.
-func (s *Server) evaluateBatch(r *http.Request, sc *batchScratch, canon []api.Tuple, engine string, workers int) (int, error) {
+func (s *Server) evaluateBatch(r *http.Request, sc *batchScratch, canon []api.Tuple, workers int) (int, error) {
 	cfgs := sc.cfgs[:0]
 	for _, t := range canon {
 		cfgs = append(cfgs, t.Cfg)
@@ -178,7 +172,7 @@ func (s *Server) evaluateBatch(r *http.Request, sc *batchScratch, canon []api.Tu
 		}
 		n++
 		key := modelKey{system: canon[lo].System, program: canon[lo].Program}
-		e, err := s.model(r.Context(), key, engine, true)
+		e, err := s.model(r.Context(), key, true)
 		if err != nil {
 			return 0, err
 		}

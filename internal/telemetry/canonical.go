@@ -15,9 +15,8 @@ import (
 // by decoding), explicitly-spelled defaults (class "" vs "A", freq_ghz 0
 // vs f_max, max_nodes 0 vs the testbed size), duplicate and reordered
 // batch tuples. Knobs that change only how the answer is computed — never
-// what it is — are excluded: workers (wall-clock only) and engine (both
-// engines are bit-identical by construction), so a sequential-engine
-// request happily hits a goroutine-engine entry.
+// what it is — are excluded: workers (wall-clock only) and engine (a
+// no-op alias), so requests differing only in those share one entry.
 //
 // The unit separator (0x1f) joins fields; it cannot appear in the
 // validated system/program/class names the keys carry.
@@ -40,8 +39,8 @@ func sweepCacheKey(system, program, class string, maxNodes int, pow2 bool, deadl
 // resolved values: class defaulted, shape validated against the profile,
 // policies canonicalised (suite order, deduplicated) and the makespan
 // tolerance resolved to its fraction. Engine and workers are excluded
-// for the same reason they are everywhere else: the advice is
-// bit-identical across engines and worker counts.
+// for the same reason they are everywhere else: the advice does not
+// depend on them.
 func adviseCacheKey(system, program, class string, nodes, cores int, policies []string, maxSlowdown float64) string {
 	return strings.Join([]string{
 		"advise", system, program, class,

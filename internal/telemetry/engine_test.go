@@ -1,43 +1,56 @@
 package telemetry
 
 import (
-	"fmt"
+	"bytes"
 	"io"
-	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"hybridperf/internal/exec"
 )
 
-// TestPredictEngineField: a per-request engine selects the simulation
-// engine for the cold characterisation and is attributed on the request
-// counter; an unknown engine is a structured 400 naming the valid names.
-func TestPredictEngineField(t *testing.T) {
-	s, ts := newTestServer(t)
-	resp, raw := postJSON(t, ts.URL+"/v1/predict",
-		`{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"freq_ghz":1.8,"engine":"sequential"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sequential predict status %d: %s", resp.StatusCode, raw)
-	}
-	if snap := s.EngineFor(exec.EngineSequential).Snapshot(); snap.Events == 0 {
-		t.Error("sequential engine counters untouched after a sequential-engine characterisation")
-	}
-	if snap := s.EngineFor(exec.EngineSequential).Snapshot(); snap.Handoffs != 0 {
-		t.Errorf("sequential engine reported %d goroutine handoffs", snap.Handoffs)
-	}
+// engineAliases are the "engine" values every model-serving route accepts
+// as a no-op alias for the one simulation engine.
+var engineAliases = []string{"", `,"engine":"sequential"`, `,"engine":"goroutine"`}
 
-	resp, raw = postJSON(t, ts.URL+"/v1/predict",
-		`{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"freq_ghz":1.8,"engine":"warp-drive"}`)
+// checkEngineAliases posts body (a JSON object without its closing brace)
+// once per alias and requires byte-identical 200 answers, then checks
+// that an unknown engine is a structured 400 naming the offender.
+func checkEngineAliases(t *testing.T, url, body, bad string) {
+	t.Helper()
+	var first []byte
+	for _, alias := range engineAliases {
+		resp, raw := postJSON(t, url, body+alias+"}")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("engine alias %q: status %d: %s", alias, resp.StatusCode, raw)
+		}
+		if first == nil {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Errorf("engine alias %q changed the answer:\n got  %s\n want %s", alias, raw, first)
+		}
+	}
+	resp, raw := postJSON(t, url, body+`,"engine":"`+bad+`"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown engine status %d, want 400: %s", resp.StatusCode, raw)
 	}
 	msg, status := errorEnvelope(t, resp, raw)
-	if status != http.StatusBadRequest || !strings.Contains(msg, "warp-drive") ||
-		!strings.Contains(msg, exec.EngineSequential) {
+	if status != http.StatusBadRequest || !strings.Contains(msg, bad) || !strings.Contains(msg, "sequential") {
 		t.Errorf("error envelope (%d, %q) does not name the bad and valid engines", status, msg)
+	}
+}
+
+// TestPredictEngineField: the engine field of predict and batch bodies is
+// a no-op alias — "", "sequential" and "goroutine" give byte-identical
+// answers — and an unknown engine is a structured 400 naming the valid
+// names. The engine counters are exposed unlabelled.
+func TestPredictEngineField(t *testing.T) {
+	s, ts := newTestServer(t)
+	checkEngineAliases(t, ts.URL+"/v1/predict",
+		`{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"freq_ghz":1.8`, "warp-drive")
+	checkEngineAliases(t, ts.URL+"/v1/batch",
+		`{"class":"S","tuples":[{"system":"xeon","program":"SP","nodes":2,"cores":2}]`, "warp-drive")
+	if snap := s.Engine().Snapshot(); snap.Events == 0 {
+		t.Error("engine counters untouched after a characterisation")
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -49,56 +62,37 @@ func TestPredictEngineField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, samples := parseExposition(t, string(text))
-	if got := samples[`hybridperf_requests_by_engine_total{route="/v1/predict",engine="sequential"}`]; got != "1" {
-		t.Errorf("sequential request counter = %q, want 1 (the rejected request must not count)", got)
+	types, samples := parseExposition(t, string(text))
+	if got := samples["hybridperf_engine_events_total"]; got == "" || got == "0" {
+		t.Errorf("engine events = %q, want non-zero", got)
 	}
-	if got := samples[`hybridperf_engine_events_total{engine="sequential"}`]; got == "" || got == "0" {
-		t.Errorf("labelled sequential engine events = %q, want non-zero", got)
+	for _, gone := range []string{"hybridperf_requests_by_engine_total", "hybridperf_engine_handoffs_total"} {
+		if _, ok := types[gone]; ok {
+			t.Errorf("/metrics still exposes %s", gone)
+		}
 	}
 }
 
-// TestSweepEngineField mirrors the predict contract on /v1/sweep.
+// TestSweepEngineField mirrors the predict contract on /v1/sweep and
+// /v1/advise.
 func TestSweepEngineField(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, raw := postJSON(t, ts.URL+"/v1/sweep",
-		`{"system":"arm","program":"CP","class":"S","pow2":true,"engine":"sequential"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sequential sweep status %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/sweep",
-		`{"system":"arm","program":"CP","class":"S","engine":"threads"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown engine status %d, want 400: %s", resp.StatusCode, raw)
-	}
-	if msg, _ := errorEnvelope(t, resp, raw); !strings.Contains(msg, "threads") {
-		t.Errorf("error %q does not name the offending engine", msg)
-	}
+	checkEngineAliases(t, ts.URL+"/v1/sweep", `{"system":"arm","program":"CP","class":"S","pow2":true`, "threads")
+	checkEngineAliases(t, ts.URL+"/v1/advise", `{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2`, "threads")
 }
 
-// TestConfigDefaultEngine: a server configured with a sequential default
-// runs engine-less requests on it and reports it on /v1/systems.
+// TestConfigDefaultEngine: the default (and only) engine runs engine-less
+// requests, and /v1/systems keeps reporting it under the engines and
+// default_engine keys clients read.
 func TestConfigDefaultEngine(t *testing.T) {
-	s := NewServer(Config{
-		Workers:       2,
-		Seed:          42,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-		DefaultEngine: exec.EngineSequential,
-	})
-	s.SetReady(true)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if s.DefaultEngine() != exec.EngineSequential {
-		t.Fatalf("DefaultEngine() = %q, want %q", s.DefaultEngine(), exec.EngineSequential)
-	}
+	s, ts := newTestServer(t)
 	resp, raw := postJSON(t, ts.URL+"/v1/predict",
 		`{"system":"xeon","program":"LU","class":"S","nodes":1,"cores":2,"freq_ghz":1.8}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d: %s", resp.StatusCode, raw)
 	}
-	if snap := s.Engine().Snapshot(); snap.Events == 0 || snap.Handoffs != 0 {
-		t.Errorf("default-engine counters = %+v, want sequential activity (events > 0, no handoffs)", snap)
+	if snap := s.Engine().Snapshot(); snap.Events == 0 {
+		t.Errorf("engine counters = %+v, want activity after a characterisation", snap)
 	}
 
 	sresp, err := http.Get(ts.URL + "/v1/systems")
@@ -110,24 +104,9 @@ func TestConfigDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`"default_engine":"sequential"`,
-		fmt.Sprintf(`"engines":["%s","%s"]`, exec.EngineGoroutine, exec.EngineSequential),
-	} {
+	for _, want := range []string{`"default_engine":"sequential"`, `"engines":["sequential"]`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/v1/systems response missing %s: %s", want, body)
 		}
 	}
-}
-
-// TestNewServerRejectsUnknownDefaultEngine: a malformed Config.DefaultEngine
-// is a programming error and must fail construction loudly.
-func TestNewServerRejectsUnknownDefaultEngine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewServer accepted an unknown DefaultEngine")
-		}
-	}()
-	NewServer(Config{DefaultEngine: "warp-drive",
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 }

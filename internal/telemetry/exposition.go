@@ -406,85 +406,46 @@ func (r *Registry) WriteText(w io.Writer) {
 	}
 }
 
-// EngineSeries is one labelled engine-counter snapshot for WriteEngineText:
-// the counters accumulated by simulations on one engine mode. An empty
-// Engine renders unlabelled series (the single-engine form).
-type EngineSeries struct {
-	Engine string
-	Snap   metrics.EngineSnapshot
-}
-
-// WriteEngineText renders engine counter snapshots as Prometheus series
-// under the hybridperf_engine_* namespace: the simulator-level counters
-// accumulated across every run the daemon has executed, one sample per
-// series with an engine="..." label (HELP/TYPE emitted once per family).
-// The MPI message-size histogram converts the engine's power-of-two
-// buckets to cumulative le edges; its _sum is estimated from bucket
-// midpoints (the engine tracks counts per size class, not exact byte
-// totals) and the HELP string says so.
-func WriteEngineText(w io.Writer, series ...EngineSeries) {
-	lbl := func(s EngineSeries, extra string) string {
-		switch {
-		case s.Engine == "" && extra == "":
-			return ""
-		case s.Engine == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return fmt.Sprintf("{engine=\"%s\"}", escapeLabel(s.Engine))
-		}
-		return fmt.Sprintf("{engine=\"%s\",%s}", escapeLabel(s.Engine), extra)
+// WriteEngineText renders an engine counter snapshot as Prometheus
+// series under the hybridperf_engine_* namespace: the simulator-level
+// counters accumulated across every run the daemon has executed, one
+// unlabelled sample per family. The MPI message-size histogram converts
+// the engine's power-of-two buckets to cumulative le edges; its _sum is
+// estimated from bucket midpoints (the engine tracks counts per size
+// class, not exact byte totals) and the HELP string says so.
+func WriteEngineText(w io.Writer, s metrics.EngineSnapshot) {
+	counter := func(name, help string, v uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter := func(name, help string, v func(metrics.EngineSnapshot) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, s := range series {
-			fmt.Fprintf(w, "%s%s %d\n", name, lbl(s, ""), v(s.Snap))
-		}
-	}
-	counter("hybridperf_engine_events_total", "Events dispatched by the DES kernel.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Events })
-	counter("hybridperf_engine_handoffs_total", "Direct process-to-process handoff dispatches.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Handoffs })
-	counter("hybridperf_engine_self_dispatches_total", "Park fast-path dispatches (next event was the parker's own).",
-		func(s metrics.EngineSnapshot) uint64 { return s.SelfDispatches })
-	counter("hybridperf_engine_scheduler_dispatches_total", "Dispatches performed by the Run caller.",
-		func(s metrics.EngineSnapshot) uint64 { return s.SchedulerDispatches })
-	counter("hybridperf_engine_lookaheads_total", "Advance fast-path clock moves that bypassed the event queue.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Lookaheads })
-	counter("hybridperf_engine_pool_hits_total", "Tasks served by a parked pooled runner.",
-		func(s metrics.EngineSnapshot) uint64 { return s.PoolHits })
-	counter("hybridperf_engine_pool_spawns_total", "Tasks that had to spawn a fresh runner.",
-		func(s metrics.EngineSnapshot) uint64 { return s.PoolSpawns })
-	counter("hybridperf_engine_omp_regions_total", "Simulated OpenMP parallel regions executed.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Regions })
-	counter("hybridperf_engine_mpi_messages_total", "Simulated MPI messages posted.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Messages })
+	counter("hybridperf_engine_events_total", "Events dispatched by the DES kernel.", s.Events)
+	counter("hybridperf_engine_self_dispatches_total", "Dispatches resuming the process that just yielded.", s.SelfDispatches)
+	counter("hybridperf_engine_scheduler_dispatches_total", "Dispatches that switched to another process.", s.SchedulerDispatches)
+	counter("hybridperf_engine_lookaheads_total", "AdvanceArm fast-path clock moves that bypassed the event queue.", s.Lookaheads)
+	counter("hybridperf_engine_pool_hits_total", "Tasks served by a parked pooled runner.", s.PoolHits)
+	counter("hybridperf_engine_pool_spawns_total", "Tasks that had to spawn a fresh runner.", s.PoolSpawns)
+	counter("hybridperf_engine_omp_regions_total", "Simulated OpenMP parallel regions executed.", s.Regions)
+	counter("hybridperf_engine_mpi_messages_total", "Simulated MPI messages posted.", s.Messages)
 	fmt.Fprintf(w, "# HELP hybridperf_engine_heap_high_water Deepest future-event heap observed.\n"+
-		"# TYPE hybridperf_engine_heap_high_water gauge\n")
-	for _, s := range series {
-		fmt.Fprintf(w, "hybridperf_engine_heap_high_water%s %d\n", lbl(s, ""), s.Snap.HeapHighWater)
-	}
+		"# TYPE hybridperf_engine_heap_high_water gauge\nhybridperf_engine_heap_high_water %d\n", s.HeapHighWater)
 
 	const name = "hybridperf_engine_mpi_msg_bytes"
 	fmt.Fprintf(w, "# HELP %s Simulated MPI message sizes in bytes (sum estimated from bucket midpoints).\n# TYPE %s histogram\n", name, name)
-	for _, s := range series {
-		var cum, total uint64
-		sum := 0.0
-		for i := 0; i < metrics.HistBuckets; i++ {
-			n := s.Snap.MsgBytes[i]
-			cum += n
-			total += n
-			lo, hi := uint64(0), uint64(2)
-			if i > 0 {
-				lo = uint64(1) << uint(i)
-				hi = lo * 2
-			}
-			sum += float64(n) * (float64(lo) + float64(hi)) / 2
-			if i < metrics.HistBuckets-1 {
-				fmt.Fprintf(w, "%s_bucket%s %d\n", name, lbl(s, fmt.Sprintf("le=\"%d\"", hi)), cum)
-			}
+	var cum uint64
+	sum := 0.0
+	for i := 0; i < metrics.HistBuckets; i++ {
+		n := s.MsgBytes[i]
+		cum += n
+		lo, hi := uint64(0), uint64(2)
+		if i > 0 {
+			lo = uint64(1) << uint(i)
+			hi = lo * 2
 		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, lbl(s, `le="+Inf"`), total)
-		fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl(s, ""), formatFloat(sum))
-		fmt.Fprintf(w, "%s_count%s %d\n", name, lbl(s, ""), total)
+		sum += float64(n) * (float64(lo) + float64(hi)) / 2
+		if i < metrics.HistBuckets-1 {
+			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, hi, cum)
+		}
 	}
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sum))
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }

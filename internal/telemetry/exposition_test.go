@@ -177,7 +177,7 @@ func TestWriteEngineText(t *testing.T) {
 	s.MsgBytes[3] = 4 // [8,16)
 
 	var b strings.Builder
-	WriteEngineText(&b, EngineSeries{Snap: s})
+	WriteEngineText(&b, s)
 	types, samples := parseExposition(t, b.String())
 
 	if types["hybridperf_engine_events_total"] != "counter" {
@@ -205,42 +205,5 @@ func TestWriteEngineText(t *testing.T) {
 	}
 	if got := samples["hybridperf_engine_mpi_msg_bytes_count"]; got != "7" {
 		t.Errorf("count = %q, want 7", got)
-	}
-}
-
-// TestWriteEngineTextLabelled renders two engine modes in one call: each
-// family declares HELP/TYPE exactly once and carries one labelled sample
-// per mode.
-func TestWriteEngineTextLabelled(t *testing.T) {
-	var g, q metrics.EngineSnapshot
-	g.Events, g.Handoffs = 100, 40
-	q.Events, q.SchedulerDispatches = 250, 250
-	q.MsgBytes[3] = 4
-
-	var b strings.Builder
-	WriteEngineText(&b, EngineSeries{Engine: "goroutine", Snap: g}, EngineSeries{Engine: "sequential", Snap: q})
-	out := b.String()
-	types, samples := parseExposition(t, out)
-
-	if types["hybridperf_engine_events_total"] != "counter" {
-		t.Errorf("engine events TYPE = %q", types["hybridperf_engine_events_total"])
-	}
-	if n := strings.Count(out, "# TYPE hybridperf_engine_events_total"); n != 1 {
-		t.Errorf("TYPE declared %d times, want once per family", n)
-	}
-	if got := samples[`hybridperf_engine_events_total{engine="goroutine"}`]; got != "100" {
-		t.Errorf(`goroutine events = %q, want 100`, got)
-	}
-	if got := samples[`hybridperf_engine_events_total{engine="sequential"}`]; got != "250" {
-		t.Errorf(`sequential events = %q, want 250`, got)
-	}
-	if got := samples[`hybridperf_engine_handoffs_total{engine="sequential"}`]; got != "0" {
-		t.Errorf(`sequential handoffs = %q, want 0`, got)
-	}
-	if got := samples[`hybridperf_engine_mpi_msg_bytes_bucket{engine="sequential",le="16"}`]; got != "4" {
-		t.Errorf(`sequential bucket le=16 = %q, want 4`, got)
-	}
-	if got := samples[`hybridperf_engine_mpi_msg_bytes_count{engine="goroutine"}`]; got != "0" {
-		t.Errorf(`goroutine msg count = %q, want 0`, got)
 	}
 }

@@ -32,7 +32,6 @@ type bodyMemo struct {
 // cache key plus the fields it would have annotated onto the log line.
 type memoEntry struct {
 	key    string // canonical response-cache key
-	engine string // resolved engine mode (body bytes pin the engine field)
 	class  string // resolved workload class
 	tuples int    // tuples as sent
 	unique int    // tuples after canonicalisation

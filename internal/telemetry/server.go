@@ -23,7 +23,6 @@ import (
 	"hybridperf/internal/cluster"
 	"hybridperf/internal/core"
 	"hybridperf/internal/dvfs"
-	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/metrics"
 	"hybridperf/internal/modelstore"
@@ -57,12 +56,6 @@ type Config struct {
 	// requests that omit max_slowdown_pct, as a fraction (<= 0 means
 	// 0.05). Must be < 1; a larger value panics in NewServer.
 	AdviseMaxSlowdown float64
-	// DefaultEngine is the simulation engine used by requests that omit
-	// the "engine" field (see exec.Engines). Empty resolves through
-	// exec.DefaultEngine ($HYBRIDPERF_ENGINE, then the sequential
-	// engine); an unknown name panics in NewServer — validate
-	// user-supplied values with exec.ValidateEngine first.
-	DefaultEngine string
 	// ResponseCache, when > 0, enables the /v1/sweep + /v1/batch response
 	// cache with that many entries (LRU) and collapses identical
 	// in-flight requests onto one computation. Zero disables the cache
@@ -98,9 +91,8 @@ type Server struct {
 	cfg         Config
 	log         *slog.Logger
 	reg         *Registry
-	defEngine   string                     // resolved engine for requests that omit one
-	advSlowdown float64                    // resolved default /v1/advise makespan tolerance
-	engines     map[string]*metrics.Engine // shared engine counters per engine mode
+	advSlowdown float64         // resolved default /v1/advise makespan tolerance
+	eng         *metrics.Engine // shared counters of every simulation the server runs
 	start       time.Time
 	ready       atomic.Bool
 
@@ -109,9 +101,9 @@ type Server struct {
 	// during a GET /debug/trace?duration window.
 	traces *TraceStore
 
-	// attrib pre-resolves the per-(route, engine) cost-attribution series
-	// so the serving path records them without a label lookup.
-	attrib map[string]map[string]attribSeries
+	// attrib pre-resolves the per-route cost-attribution series so the
+	// serving path records them without a label lookup.
+	attrib map[string]attribSeries
 
 	mu     sync.Mutex
 	models map[modelKey]*modelEntry
@@ -151,7 +143,6 @@ type Server struct {
 	mChar      *CounterVec
 	mRejected  *CounterVec
 	mCancelled *CounterVec
-	mByEngine  *CounterVec
 
 	// Advisory-plane series, by governor policy.
 	mAdviseEvals *CounterVec
@@ -202,13 +193,6 @@ func NewServer(cfg Config) *Server {
 	if log == nil {
 		log = slog.Default()
 	}
-	defEngine := cfg.DefaultEngine
-	if defEngine == "" {
-		defEngine = exec.DefaultEngine()
-	}
-	if err := exec.ValidateEngine(defEngine); err != nil {
-		panic(fmt.Sprintf("telemetry: Config.DefaultEngine: %v", err))
-	}
 	advSlowdown := cfg.AdviseMaxSlowdown
 	if advSlowdown <= 0 {
 		advSlowdown = 0.05
@@ -216,19 +200,14 @@ func NewServer(cfg Config) *Server {
 	if advSlowdown >= 1 {
 		panic(fmt.Sprintf("telemetry: Config.AdviseMaxSlowdown %g must be in (0,1)", cfg.AdviseMaxSlowdown))
 	}
-	engines := make(map[string]*metrics.Engine, 2)
-	for _, e := range exec.Engines() {
-		engines[e] = metrics.NewEngine()
-	}
 	s := &Server{
-		cfg:       cfg,
-		log:       log,
-		reg:       NewRegistry(),
-		defEngine: defEngine,
-		engines:   engines,
-		start:     time.Now(),
-		models:    map[modelKey]*modelEntry{},
-		sem:       make(chan struct{}, cfg.MaxCampaigns),
+		cfg:    cfg,
+		log:    log,
+		reg:    NewRegistry(),
+		eng:    metrics.NewEngine(),
+		start:  time.Now(),
+		models: map[modelKey]*modelEntry{},
+		sem:    make(chan struct{}, cfg.MaxCampaigns),
 	}
 	s.advSlowdown = advSlowdown
 	s.mReq = s.reg.Counter("hybridperf_http_requests_total",
@@ -247,31 +226,25 @@ func NewServer(cfg Config) *Server {
 		"Requests shed by admission control, by route and reason.", "route", "reason")
 	s.mCancelled = s.reg.Counter("hybridperf_http_requests_cancelled_total",
 		"Requests whose context ended before completion, by route and reason (disconnect or timeout).", "route", "reason")
-	s.mByEngine = s.reg.Counter("hybridperf_requests_by_engine_total",
-		"Model-serving requests by route and resolved simulation engine.", "route", "engine")
 	s.traces = NewTraceStore(0)
 	// Cost attribution: every model-serving response reports how much
 	// simulated work it carried; these aggregate the same numbers the
-	// response headers expose. Series are pre-resolved here — routes and
-	// engines are both static — so the hot path records them map-lookup
-	// cheap and allocation free.
+	// response headers expose. Series are pre-resolved here — the routes
+	// are static — so the hot path records them map-lookup cheap and
+	// allocation free.
 	mPreds := s.reg.Counter("hybridperf_predictions_served_total",
-		"Predictions returned to clients, by route and simulation engine.", "route", "engine")
+		"Predictions returned to clients, by route.", "route")
 	mSimS := s.reg.FloatCounter("hybridperf_simulated_seconds_total",
-		"Predicted application runtime (virtual seconds) summed over all served predictions, by route and engine.", "route", "engine")
+		"Predicted application runtime (virtual seconds) summed over all served predictions, by route.", "route")
 	mEnergy := s.reg.FloatCounter("hybridperf_predicted_energy_joules_total",
-		"Predicted energy (joules) summed over all served predictions, by route and engine.", "route", "engine")
-	s.attrib = make(map[string]map[string]attribSeries, 4)
+		"Predicted energy (joules) summed over all served predictions, by route.", "route")
+	s.attrib = make(map[string]attribSeries, 4)
 	for _, route := range []string{"/v1/predict", "/v1/batch", "/v1/sweep", "/v1/advise"} {
-		byEngine := make(map[string]attribSeries, len(engines))
-		for _, e := range exec.Engines() {
-			byEngine[e] = attribSeries{
-				preds:  mPreds.With(route, e),
-				simS:   mSimS.With(route, e),
-				energy: mEnergy.With(route, e),
-			}
+		s.attrib[route] = attribSeries{
+			preds:  mPreds.With(route),
+			simS:   mSimS.With(route),
+			energy: mEnergy.With(route),
 		}
-		s.attrib[route] = byEngine
 	}
 	// Advisory-plane accounting: per-policy governed evaluations, which
 	// policy the advisor recommended, and the energy each policy would
@@ -340,26 +313,22 @@ func NewServer(cfg Config) *Server {
 		fmt.Fprintf(w, "# HELP hybridperf_uptime_seconds Seconds since the daemon started.\n"+
 			"# TYPE hybridperf_uptime_seconds gauge\nhybridperf_uptime_seconds %s\n",
 			formatFloat(time.Since(s.start).Seconds()))
-		series := make([]EngineSeries, 0, len(engines))
-		for _, e := range exec.Engines() {
-			series = append(series, EngineSeries{Engine: e, Snap: engines[e].Snapshot()})
-		}
-		WriteEngineText(w, series...)
+		WriteEngineText(w, s.eng.Snapshot())
 	})
 	return s
 }
 
 // Warm characterises one (system, program) pair ahead of traffic, so a
 // deployment can flip /readyz only after its hot models are cached. The
-// warm-up runs the exact path traffic takes: the server's default engine
-// feeds that mode's shared counters, and the campaign holds an admission
+// warm-up runs the exact path traffic takes: its simulations feed the
+// server's engine counters, and the campaign holds an admission
 // slot — waiting for one rather than shedding, since warm-up has no
 // client to 429 — so a daemon warming while already serving cannot
 // oversubscribe the campaign budget it advertises.
 func (s *Server) Warm(system, program string) error {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	_, err := s.model(context.Background(), modelKey{system: system, program: program}, s.defEngine, true)
+	_, err := s.model(context.Background(), modelKey{system: system, program: program}, true)
 	return err
 }
 
@@ -369,16 +338,9 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // Registry exposes the server's metric registry (tests, extra collectors).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Engine exposes the shared engine counter set fed by simulations on the
-// server's default engine mode (see EngineFor for a specific mode).
-func (s *Server) Engine() *metrics.Engine { return s.engines[s.defEngine] }
-
-// EngineFor exposes the shared counter set for one engine mode, or nil
-// for an unknown mode.
-func (s *Server) EngineFor(mode string) *metrics.Engine { return s.engines[mode] }
-
-// DefaultEngine reports the engine mode used by requests that omit one.
-func (s *Server) DefaultEngine() string { return s.defEngine }
+// Engine exposes the shared engine counter set fed by every simulation
+// the server runs.
+func (s *Server) Engine() *metrics.Engine { return s.eng }
 
 // Handler returns the full route table wrapped in the telemetry
 // middleware.
@@ -426,15 +388,10 @@ var errSaturated = errors.New("admission slots saturated")
 
 // model returns the cached model for (system, program), characterising it
 // on first use with the server's collectors attached: every simulation
-// feeds the engine-mode's shared counters, and the campaign logs one
-// line with its engine-event delta. ctx cancels an in-flight
-// characterisation mid-simulation (client disconnect, request timeout).
-//
-// engine selects the simulation engine a cold characterisation runs on.
-// Both engines are bit-for-bit identical, so the cache stays keyed by
-// (system, program) alone — the engine changes which counters accrue,
-// never the model. Concurrent cold requests for one key collapse into a
-// single campaign on the leader's engine.
+// feeds the shared engine counters, and the campaign logs one line with
+// its engine-event delta. ctx cancels an in-flight characterisation
+// mid-simulation (client disconnect, request timeout). Concurrent cold
+// requests for one key collapse into a single campaign.
 //
 // Admission: unless the caller is already admitted (Warm runs before
 // traffic; sweep handlers hold a slot for the whole request), the
@@ -452,7 +409,7 @@ var errSaturated = errors.New("admission slots saturated")
 // poisoned for the process lifetime. Concurrent waiters on a failing
 // campaign all observe its error; the first request after eviction
 // retries fresh.
-func (s *Server) model(ctx context.Context, key modelKey, engine string, admitted bool) (*modelEntry, error) {
+func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*modelEntry, error) {
 	if e := s.readyModel(key); e != nil {
 		return e, nil // the warm path: no catalogue lookups
 	}
@@ -502,7 +459,7 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 				return
 			}
 		}
-		eng := s.engines[engine]
+		eng := s.eng
 		rt := RequestTraceFrom(ctx)
 		// Only a sampled request asks the campaign to deliver its per-rank
 		// phase timeline: the hook forces the engine to record events, so
@@ -510,7 +467,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 		opts := characterize.Options{
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
-			Engine:        engine,
 			Ctx:           ctx,
 			SharedMetrics: eng,
 		}
@@ -540,7 +496,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "characterized",
 			slog.String("system", key.system),
 			slog.String("program", key.program),
-			slog.String("engine", engine),
 			slog.Duration("duration", end.Sub(start)),
 			slog.Uint64("engine_events", delta.Events),
 			slog.Uint64("mpi_messages", delta.Messages))
@@ -626,7 +581,7 @@ func interrupted(w http.ResponseWriter, err error) bool {
 // (400); a shed campaign is 429 + Retry-After; a cancelled, timed-out or
 // aborted campaign is retryable (503 + Retry-After); a failed
 // characterisation of valid coordinates is ours (500).
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program, class, engine string, admitted bool) (*modelEntry, workload.Class, int, bool) {
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program, class string, admitted bool) (*modelEntry, workload.Class, int, bool) {
 	m, err := api.ResolveModel(system, program, class)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, "%v", err)
@@ -635,9 +590,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program
 	annotate(r.Context(),
 		slog.String("system", system),
 		slog.String("program", program),
-		slog.String("class", m.Class),
-		slog.String("engine", engine))
-	e, err := s.model(r.Context(), modelKey{system: system, program: program}, engine, admitted)
+		slog.String("class", m.Class))
+	e, err := s.model(r.Context(), modelKey{system: system, program: program}, admitted)
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			s.reject(w, r.URL.Path)
@@ -652,17 +606,15 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program
 	return e, workload.Class(m.Class), m.Iters, true
 }
 
-// engineMode resolves a request's optional engine field: empty takes the
-// server default, unknown names are the caller's fault (400, structured).
-func (s *Server) engineMode(w http.ResponseWriter, engine string) (string, bool) {
-	if engine == "" {
-		return s.defEngine, true
-	}
-	if err := exec.ValidateEngine(engine); err != nil {
+// checkEngine validates a request's "engine" field, a no-op alias (see
+// api.CheckEngine): an unknown name is the caller's fault (400,
+// structured).
+func checkEngine(w http.ResponseWriter, engine string) bool {
+	if err := api.CheckEngine(engine); err != nil {
 		api.Error(w, http.StatusBadRequest, "%v", err)
-		return "", false
+		return false
 	}
-	return engine, true
+	return true
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -683,11 +635,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !checkEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/predict", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -696,7 +646,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// competes for an admission slot (claimed by the campaign leader
 	// inside model, so concurrent cold predicts for one key don't shed
 	// each other).
-	e, class, S, ok := s.resolve(w, r, req.System, req.Program, req.Class, engine, false)
+	e, class, S, ok := s.resolve(w, r, req.System, req.Program, req.Class, false)
 	if !ok {
 		return
 	}
@@ -720,7 +670,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.AddSpan("model", fmt.Sprintf("predict %s/%s", req.System, req.Program), t0, tPred)
 	}
 	pj := api.ToPrediction(pred)
-	s.applyAttribution(w, r, "/v1/predict", engine, makeAttribution(api.Cost{Predictions: 1, SimSeconds: pj.TimeS, EnergyJ: pj.EnergyJ}))
+	s.applyAttribution(w, r, "/v1/predict", makeAttribution(api.Cost{Predictions: 1, SimSeconds: pj.TimeS, EnergyJ: pj.EnergyJ}))
 	endRender := rt.Span("handler", "render")
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(api.PredictResponse{System: req.System, Program: req.Program, Class: string(class), Prediction: pj})
@@ -745,11 +695,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !checkEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/sweep", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -773,11 +721,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		slog.String("system", req.System),
 		slog.String("program", req.Program),
 		slog.String("class", sw.Class),
-		slog.String("engine", engine),
 		slog.Int("workers", workers))
 
 	key := sweepCacheKey(req.System, req.Program, sw.Class, sw.MaxNodes, req.Pow2, req.DeadlineS, req.BudgetJ)
-	s.respondCached(w, r, "/v1/sweep", engine, key, func() (*cachedResponse, error) {
+	s.respondCached(w, r, "/v1/sweep", key, func() (*cachedResponse, error) {
 		// Sweeps always count against the campaign budget: even on a warm
 		// model a full-space evaluation is the heavy path. The flight
 		// leader's slot covers the whole computation, including a cold
@@ -788,7 +735,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("sweep: %w", errSaturated)
 		}
 		defer release()
-		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, engine, true)
+		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -818,7 +765,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // revalidate with If-None-Match and get a body-less 304.
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	s.systemsOnce.Do(func() {
-		s.systemsBody = append(api.MustJSON(systemsDocument(s.defEngine)), '\n')
+		s.systemsBody = append(api.MustJSON(systemsDocument()), '\n')
 		sum := sha256.Sum256(s.systemsBody)
 		s.systemsETag = `"` + hex.EncodeToString(sum[:8]) + `"`
 	})
@@ -849,8 +796,9 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// systemsDocument builds the /v1/systems payload.
-func systemsDocument(defaultEngine string) api.Systems {
+// systemsDocument builds the /v1/systems payload. It keeps the engines
+// and default_engine keys clients read, listing the one engine.
+func systemsDocument() api.Systems {
 	profiles := machine.Profiles()
 	names := make([]string, 0, len(profiles))
 	for n := range profiles {
@@ -878,7 +826,7 @@ func systemsDocument(defaultEngine string) api.Systems {
 		programs = append(programs, spec.Name)
 	}
 	return api.Systems{Systems: systems, Programs: programs, Classes: classNames(),
-		Engines: exec.Engines(), DefaultEngine: defaultEngine}
+		Engines: []string{api.Engine}, DefaultEngine: api.Engine}
 }
 
 func classNames() []string {

@@ -15,7 +15,6 @@ import (
 
 	"hybridperf/internal/characterize"
 	"hybridperf/internal/core"
-	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -315,21 +314,13 @@ func TestMetricsExposition(t *testing.T) {
 	if got := samples["hybridperf_models_cached"]; got != "1" {
 		t.Errorf("models cached = %q, want 1", got)
 	}
-	// The characterisation ran through the default mode's shared engine,
-	// so its labelled counters must be live on the very first scrape
-	// (and the other mode's series present but untouched).
-	def := fmt.Sprintf(`hybridperf_engine_events_total{engine="%s"}`, s.DefaultEngine())
-	if got := samples[def]; got == "" || got == "0" {
-		t.Errorf("engine events %s = %q, want non-zero after characterisation", def, got)
+	// The characterisation ran through the server's shared engine
+	// counters, so they must be live on the very first scrape.
+	if got := samples["hybridperf_engine_events_total"]; got == "" || got == "0" {
+		t.Errorf("engine events = %q, want non-zero after characterisation", got)
 	}
-	for _, mode := range exec.Engines() {
-		key := fmt.Sprintf(`hybridperf_engine_events_total{engine="%s"}`, mode)
-		if _, ok := samples[key]; !ok {
-			t.Errorf("no %s sample on scrape", key)
-		}
-	}
-	if got := samples[`hybridperf_requests_by_engine_total{route="/v1/predict",engine="`+s.DefaultEngine()+`"}`]; got != "1" {
-		t.Errorf("requests by engine = %q, want 1", got)
+	if got := s.Engine().Snapshot().Events; fmt.Sprint(got) != samples["hybridperf_engine_events_total"] {
+		t.Errorf("scraped engine events %q, server engine %d", samples["hybridperf_engine_events_total"], got)
 	}
 	for key := range samples {
 		if _, ok := types[familyOf(key)]; !ok {
@@ -531,22 +522,20 @@ func TestSystemsETag(t *testing.T) {
 }
 
 // TestWarmRunsUnderDefaultEngineAndAdmission audits the -preload path: a
-// warm-up campaign must hold an admission slot for its duration and run on
-// the server's default engine (feeding that mode's counters), exactly like
-// a served cold request would.
+// warm-up campaign must hold an admission slot for its duration and feed
+// the server's engine counters, exactly like a served cold request would.
 func TestWarmRunsUnderDefaultEngineAndAdmission(t *testing.T) {
 	s := NewServer(Config{
-		Workers:       2,
-		Seed:          42,
-		MaxCampaigns:  1,
-		DefaultEngine: "sequential",
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Workers:      2,
+		Seed:         42,
+		MaxCampaigns: 1,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	var sawSlots int
 	var sawEngine uint64
 	s.charTestHook = func(ctx context.Context, key modelKey) error {
 		sawSlots = len(s.sem)
-		sawEngine = s.EngineFor("sequential").Snapshot().Events
+		sawEngine = s.Engine().Snapshot().Events
 		return nil
 	}
 	if err := s.Warm("arm", "LB"); err != nil {
@@ -556,13 +545,10 @@ func TestWarmRunsUnderDefaultEngineAndAdmission(t *testing.T) {
 		t.Errorf("admission slots held during warm-up = %d, want 1", sawSlots)
 	}
 	if sawEngine != 0 {
-		t.Errorf("sequential engine events before the warm campaign = %d, want 0", sawEngine)
+		t.Errorf("engine events before the warm campaign = %d, want 0", sawEngine)
 	}
-	if got := s.EngineFor("sequential").Snapshot().Events; got == 0 {
-		t.Error("warm-up fed no events to the default (sequential) engine")
-	}
-	if got := s.EngineFor("goroutine").Snapshot().Events; got != 0 {
-		t.Errorf("warm-up leaked %d events into the non-default engine", got)
+	if got := s.Engine().Snapshot().Events; got == 0 {
+		t.Error("warm-up fed no events to the engine counters")
 	}
 	if n := s.mChar.With("arm", "LB").Value(); n != 1 {
 		t.Errorf("characterisations after warm-up = %d, want 1", n)

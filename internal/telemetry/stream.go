@@ -26,10 +26,10 @@ func (s *Server) cachedDo(ctx context.Context, key string, compute func() (*cach
 // X-Response-Cache and annotated onto the access-log line, and the
 // response's stored cost attribution is stamped on — identically whether
 // the body was just computed or replayed from the cache.
-func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, route, engine string, resp *cachedResponse, status cacheStatus) {
+func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, route string, resp *cachedResponse, status cacheStatus) {
 	annotate(r.Context(), slog.String("cache", string(status)))
 	w.Header().Set("X-Response-Cache", string(status))
-	s.applyAttribution(w, r, route, engine, resp.attr)
+	s.applyAttribution(w, r, route, resp.attr)
 	resp.Write(w, r)
 }
 
@@ -37,7 +37,7 @@ func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, route, engi
 // /v1/batch): run compute through the cache, map compute errors to the
 // same statuses the uncached paths used (429 shed, 503 interrupted, 500
 // otherwise), and serve the answer in the requested shape.
-func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route, engine, key string, compute func() (*cachedResponse, error)) {
+func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route, key string, compute func() (*cachedResponse, error)) {
 	lookup := time.Now()
 	resp, status, err := s.cachedDo(r.Context(), key, compute)
 	if err != nil {
@@ -61,5 +61,5 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route, en
 			rt.AddSpan("handler", "cache-lookup", lookup, time.Now())
 		}
 	}
-	s.writeCached(w, r, route, engine, resp, status)
+	s.writeCached(w, r, route, resp, status)
 }

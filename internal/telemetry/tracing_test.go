@@ -12,8 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hybridperf/internal/exec"
 )
 
 // newTracedServer builds a ready server sampling every locally minted
@@ -230,11 +228,10 @@ func TestAttributionHeadersMatchBody(t *testing.T) {
 	if got, want := resp.Header.Get(EnergyHeader), strconv.FormatFloat(pred.EnergyJ, 'g', -1, 64); got != want {
 		t.Errorf("%s = %q, body says %q", EnergyHeader, got, want)
 	}
-	engine := s.DefaultEngine()
-	if n := s.attrib["/v1/predict"][engine].preds.Value(); n != 1 {
+	if n := s.attrib["/v1/predict"].preds.Value(); n != 1 {
 		t.Errorf("predictions series = %d, want 1", n)
 	}
-	if v := s.attrib["/v1/predict"][engine].energy.Value(); v != pred.EnergyJ {
+	if v := s.attrib["/v1/predict"].energy.Value(); v != pred.EnergyJ {
 		t.Errorf("energy series = %g, want %g", v, pred.EnergyJ)
 	}
 
@@ -283,13 +280,13 @@ func TestAttributionHeadersMatchBody(t *testing.T) {
 	if cold != warm {
 		t.Errorf("cache hit changed the attribution: cold %v, warm %v", cold, warm)
 	}
-	if n := s.attrib["/v1/batch"][engine].preds.Value(); n != 6 {
+	if n := s.attrib["/v1/batch"].preds.Value(); n != 6 {
 		t.Errorf("batch predictions series = %d, want 6 (3 cold + 3 replayed)", n)
 	}
 }
 
 // TestAttributionSeriesExposed: the aggregate families appear on /metrics
-// with per-(route, engine) labels once a prediction is served.
+// with per-route labels once a prediction is served.
 func TestAttributionSeriesExposed(t *testing.T) {
 	_, ts := newTestServer(t)
 	if resp, raw := postJSON(t, ts.URL+"/v1/predict", `{"system":"xeon","program":"SP","class":"A","nodes":1,"cores":2,"freq_ghz":1.8}`); resp.StatusCode != http.StatusOK {
@@ -306,9 +303,8 @@ func TestAttributionSeriesExposed(t *testing.T) {
 		"hybridperf_simulated_seconds_total",
 		"hybridperf_predicted_energy_joules_total",
 	} {
-		needle := fmt.Sprintf(`%s{engine="%s",route="/v1/predict"}`, fam, exec.DefaultEngine())
-		alt := fmt.Sprintf(`%s{route="/v1/predict",engine=`, fam)
-		if !strings.Contains(string(raw), needle) && !strings.Contains(string(raw), alt) {
+		needle := fam + `{route="/v1/predict"}`
+		if !strings.Contains(string(raw), needle) {
 			t.Errorf("/metrics missing %s for /v1/predict:\n%s", fam, grepLines(raw, fam))
 		}
 	}

@@ -179,11 +179,11 @@ func runProgram(t *testing.T, s *Spec, n, c int) (*mpi.World, []*node.Node, floa
 	world := mpi.NewWorld(k, sw, nodes)
 	for i := 0; i < n; i++ {
 		env := &Env{Rank: world.Rank(i), Team: omp.NewTeam(k, nodes[i]), Class: ClassTest}
-		k.Spawn("rank", func(p *des.Proc) {
-			if err := s.Run(p, env); err != nil {
-				t.Error(err)
-			}
-		})
+		m, err := s.Machine(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Spawn("rank", m)
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -274,14 +274,9 @@ func TestRunUnknownClassFails(t *testing.T) {
 	sw := simnet.NewSwitch(k, prof)
 	nd := node.New(k, prof, 0, 1, prof.FMax(), nil)
 	world := mpi.NewWorld(k, sw, []*node.Node{nd})
-	var gotErr error
 	env := &Env{Rank: world.Rank(0), Team: omp.NewTeam(k, nd), Class: Class("bogus")}
-	k.Spawn("rank", func(p *des.Proc) { gotErr = SP().Run(p, env) })
-	if err := k.Run(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if gotErr == nil {
-		t.Fatal("unknown class accepted by Run")
+	if _, err := SP().Machine(env); err == nil {
+		t.Fatal("unknown class accepted by Machine")
 	}
 }
 
