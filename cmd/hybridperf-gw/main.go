@@ -1,14 +1,16 @@
-// Command hybridperf-gw fronts a sharded hybridperfd cluster: it routes
-// POST /v1/predict and POST /v1/advise to the replica owning the model
-// key (consistent hash over the same -peers list the replicas run with),
-// splits POST /v1/batch into one sub-batch per owning shard, and
-// partitions a POST /v1/sweep configuration space across every shard —
-// merging the answers back in canonical order, byte-identical to a
-// single daemon's response when all shards are up. When a shard is down
-// the merged answer is partial and carries per-shard error annotations
-// ("shard_errors"); only a request whose every sub-request failed
-// returns 503. Shard backoff hints survive the relay: a 429/503 carries
-// the shard's own Retry-After value when it sent one.
+// Command hybridperf-gw fronts a sharded hybridperfd cluster: it relays
+// POST /v1/predict, /v1/advise and /v1/sweep to the replica owning the
+// model key (consistent hash over the same -peers list the replicas run
+// with), failing over along the ring when the owner is down, and sends a
+// POST /v1/batch whole to its owner when one replica owns every tuple,
+// or else splits it into one sub-batch per owning shard and splices the
+// shards' result fragments back in canonical order. Every answer is
+// byte-identical to a single daemon's when all shards are up. When a
+// shard owning part of a split batch is down the answer is partial and
+// carries per-shard error annotations ("shard_errors"); only a batch
+// whose every owner failed returns 503. Shard backoff hints survive the
+// relay: a 429/503 carries the shard's own Retry-After value when it
+// sent one.
 //
 // The gateway is stateless: no models, no cache, no store. Run as many
 // as you like behind a plain load balancer.

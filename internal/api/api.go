@@ -148,13 +148,11 @@ type SweepSummary struct {
 	Points   int         `json:"frontier_points"`
 	Deadline *Prediction `json:"min_energy_within_deadline,omitempty"`
 	Budget   *Prediction `json:"min_time_within_budget,omitempty"`
-	// ShardErrors annotates a partial answer merged by the gateway; a
-	// complete answer has none, so it is byte-identical to a shard's.
-	ShardErrors []ShardError `json:"shard_errors,omitempty"`
 }
 
 // ShardError annotates one failed gateway sub-request on a partial
-// answer.
+// /v1/batch answer; a complete answer has none, so it is byte-identical
+// to a shard's.
 type ShardError struct {
 	Shard  string `json:"shard"`
 	Error  string `json:"error"`
@@ -279,7 +277,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	if cl := r.ContentLength; cl >= 0 && cl <= limit {
 		size = int(min(cl, maxBodyPresize)) + 1 // room to observe EOF without growing
 	}
-	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), make([]byte, 0, size))
+	body, err := ReadAll(http.MaxBytesReader(w, r.Body, limit), make([]byte, 0, size))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -297,8 +295,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 // batch body in one allocation.
 const maxBodyPresize = 64 << 10
 
-// readAll is io.ReadAll appending into b.
-func readAll(rd io.Reader, b []byte) ([]byte, error) {
+// ReadAll is io.ReadAll appending into b: a b with room for the whole
+// body and one byte more reads it without growing.
+func ReadAll(rd io.Reader, b []byte) ([]byte, error) {
 	for {
 		n, err := rd.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]

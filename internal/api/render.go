@@ -61,6 +61,7 @@ func (d *Doc) appendLine(b []byte, i int) []byte {
 func (d *Doc) Write(w http.ResponseWriter, r *http.Request) {
 	if !WantStream(r) {
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(d.Body)))
 		w.Write(d.Body)
 		return
 	}
@@ -158,12 +159,33 @@ func (c *Cost) add(p Prediction) {
 }
 
 // RenderBatch renders a /v1/batch answer into b: the summary (class,
-// result count, group count and, on a partial gateway merge, the shard
-// errors), then the n results result yields, each exactly as
-// json.Marshal renders a BatchResult. The class and names are written
-// unescaped: they are validated catalogue names, none of which needs
-// escaping (TestCatalogueNamesNeedNoEscaping).
-func RenderBatch(b []byte, class string, groups int, shardErrs []ShardError, n int, result func(i int) BatchResult) (Doc, Cost) {
+// result count and group count), then the n results result yields, each
+// exactly as json.Marshal renders a BatchResult. The class and names are
+// written unescaped: they are validated catalogue names, none of which
+// needs escaping (TestCatalogueNamesNeedNoEscaping).
+func RenderBatch(b []byte, class string, groups, n int, result func(i int) BatchResult) (Doc, Cost) {
+	var cost Cost
+	doc := spliceItems(appendBatchSummary(b, class, n, groups, nil), "results", "result", n, func(b []byte, i int) []byte {
+		r := result(i)
+		cost.add(r.Prediction)
+		return AppendBatchResult(b, r.System, r.Program, r.Prediction)
+	})
+	return doc, cost
+}
+
+// SpliceBatch assembles a /v1/batch answer from result fragments that
+// are already rendered, as a gateway merge has them: RenderBatch's
+// summary, with the shard errors of a partial merge, then the fragments
+// in the order given.
+func SpliceBatch(class string, groups int, shardErrs []ShardError, frags [][]byte) Doc {
+	return Splice(append(appendBatchSummary(nil, class, len(frags), groups, shardErrs), '}'), "results", "result", frags)
+}
+
+// appendBatchSummary appends a batch answer's summary object without its
+// closing brace. The shard errors of a partial merge are the one part
+// rendered by reflection: they carry free-form error text, and only a
+// degraded answer has any.
+func appendBatchSummary(b []byte, class string, n, groups int, shardErrs []ShardError) []byte {
 	b = append(b, `{"class":"`...)
 	b = append(b, class...)
 	b = append(b, `","count":`...)
@@ -174,24 +196,45 @@ func RenderBatch(b []byte, class string, groups int, shardErrs []ShardError, n i
 		b = append(b, `,"shard_errors":`...)
 		b = append(b, MustJSON(shardErrs)...)
 	}
-	var cost Cost
-	doc := spliceItems(b, "results", "result", n, func(b []byte, i int) []byte {
-		r := result(i)
-		cost.add(r.Prediction)
-		return AppendBatchResult(b, r.System, r.Program, r.Prediction)
-	})
-	return doc, cost
+	return b
 }
 
 // AppendBatchResult appends one batch result exactly as
 // json.Marshal(BatchResult{system, program, p}) renders it; p must be
 // Finite.
 func AppendBatchResult(b []byte, system, program string, p Prediction) []byte {
+	return appendPredictionFields(append(appendNames(b, system, program), ','), p)
+}
+
+// appendNames opens an object with its system and program names:
+// `{"system":"<system>","program":"<program>"`.
+func appendNames(b []byte, system, program string) []byte {
 	b = append(b, `{"system":"`...)
 	b = append(b, system...)
 	b = append(b, `","program":"`...)
 	b = append(b, program...)
-	b = append(b, `","config":{"nodes":`...)
+	return append(b, '"')
+}
+
+// AppendPredictResponse appends a /v1/predict answer exactly as
+// json.NewEncoder(w).Encode(PredictResponse{...}) writes it, trailing
+// newline included; p must be Finite.
+func AppendPredictResponse(b []byte, system, program, class string, p Prediction) []byte {
+	b = append(appendNames(b, system, program), `,"class":"`...)
+	b = append(append(b, class...), `",`...)
+	return append(appendPredictionFields(b, p), '\n')
+}
+
+// AppendPrediction appends p exactly as json.Marshal renders it; p must
+// be Finite.
+func AppendPrediction(b []byte, p Prediction) []byte {
+	return appendPredictionFields(append(b, '{'), p)
+}
+
+// appendPredictionFields appends p's fields and the closing brace of the
+// object they end.
+func appendPredictionFields(b []byte, p Prediction) []byte {
+	b = append(b, `"config":{"nodes":`...)
 	b = strconv.AppendInt(b, int64(p.Config.Nodes), 10)
 	b = append(b, `,"cores":`...)
 	b = strconv.AppendInt(b, int64(p.Config.Cores), 10)
@@ -219,28 +262,45 @@ func (p Prediction) Finite() bool {
 }
 
 // RenderSweep renders a /v1/sweep answer from the evaluated points and
-// their frontier: sum's fields — with the frontier size and, when asked
-// for, the minimum-energy point within the deadline and the minimum-time
-// point within the budget filled in — then the frontier points.
-func RenderSweep(sum SweepSummary, points, front []pareto.Point, deadlineS, budgetJ float64) (Doc, Cost) {
-	sum.Points = len(front)
+// their frontier, exactly as json.Marshal renders sum's fields — with the
+// frontier size and, when asked for, the minimum-energy point within the
+// deadline and the minimum-time point within the budget filled in —
+// followed by the frontier points. A point it would render that is not
+// Finite is an error.
+func RenderSweep(sum SweepSummary, points, front []pareto.Point, deadlineS, budgetJ float64) (Doc, Cost, error) {
+	b := appendNames(make([]byte, 0, 512+160*len(front)), sum.System, sum.Program)
+	b = append(b, `,"class":"`...)
+	b = append(b, sum.Class...)
+	b = append(b, `","configs":`...)
+	b = strconv.AppendInt(b, int64(sum.Configs), 10)
+	b = append(b, `,"frontier_points":`...)
+	b = strconv.AppendInt(b, int64(len(front)), 10)
+	finite := true
+	pick := func(key string, p pareto.Point) {
+		pj := ToPrediction(p.Pred)
+		finite = finite && pj.Finite()
+		b = append(append(append(b, `,"`...), key...), `":`...)
+		b = AppendPrediction(b, pj)
+	}
 	if deadlineS > 0 {
 		if p, ok := pareto.MinEnergyWithinDeadline(points, deadlineS); ok {
-			pj := ToPrediction(p.Pred)
-			sum.Deadline = &pj
+			pick("min_energy_within_deadline", p)
 		}
 	}
 	if budgetJ > 0 {
 		if p, ok := pareto.MinTimeWithinBudget(points, budgetJ); ok {
-			pj := ToPrediction(p.Pred)
-			sum.Budget = &pj
+			pick("min_time_within_budget", p)
 		}
 	}
-	frontier := make([]Prediction, len(front))
 	var cost Cost
-	for i, p := range front {
-		frontier[i] = ToPrediction(p.Pred)
-		cost.add(frontier[i])
+	doc := spliceItems(b, "frontier", "point", len(front), func(b []byte, i int) []byte {
+		pj := ToPrediction(front[i].Pred)
+		finite = finite && pj.Finite()
+		cost.add(pj)
+		return AppendPrediction(b, pj)
+	})
+	if !finite {
+		return Doc{}, Cost{}, fmt.Errorf("sweep %s/%s: non-finite prediction", sum.System, sum.Program)
 	}
-	return Splice(MustJSON(sum), "frontier", "point", MarshalEach(frontier)), cost
+	return doc, cost, nil
 }

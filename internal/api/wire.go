@@ -20,10 +20,13 @@ import (
 
 // The request wire codec: a strict hand-written decoder for the four
 // POST bodies, which the shards and the gateway both run, and the float
-// rendering the /v1/batch answer is appended with. Both reproduce encoding/json exactly, so
-// served behaviour and bytes are those of json.Decoder (with
+// rendering every answer is appended with. Both reproduce encoding/json
+// exactly, so served behaviour and bytes are those of json.Decoder (with
 // DisallowUnknownFields and a trailing-data check) and json.Marshal —
 // without reflection, and without a per-tuple allocation on /v1/batch.
+// The gateway's side of a split /v1/batch also lives here: the sub-body
+// encoder (AppendBatchRequest) and the scanner that finds the result
+// fragments in a shard's answer (ScanBatchResults).
 //
 // The decoder accepts the same inputs as that json.Decoder setup and
 // yields the same values: whitespace, null for any field (a no-op, or a
@@ -629,6 +632,132 @@ func (d *wireDecoder) skipDigits() {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// AppendBatchRequest appends a /v1/batch body carrying tuples exactly as
+// json.Marshal(BatchRequest{class, engine, workers, tuples}) renders it.
+// The class, engine and names are written unescaped, so they must have
+// passed validation (CanonBatch, CheckEngine) and every float be finite.
+func AppendBatchRequest(b []byte, class, engine string, workers int, tuples []BatchTuple) []byte {
+	b = append(b, `{"class":"`...)
+	b = append(b, class...)
+	b = append(b, `","engine":"`...)
+	b = append(b, engine...)
+	b = append(b, `","workers":`...)
+	b = strconv.AppendInt(b, int64(workers), 10)
+	b = append(b, `,"tuples":[`...)
+	for i, t := range tuples {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"system":"`...)
+		b = append(b, t.System...)
+		b = append(b, `","program":"`...)
+		b = append(b, t.Program...)
+		b = append(b, `","nodes":`...)
+		b = strconv.AppendInt(b, int64(t.Nodes), 10)
+		b = append(b, `,"cores":`...)
+		b = strconv.AppendInt(b, int64(t.Cores), 10)
+		b = append(b, `,"freq_ghz":`...)
+		b = appendFloat(b, t.FreqGHz)
+		b = append(b, '}')
+	}
+	return append(b, ']', '}')
+}
+
+// BatchFragment is one element of a /v1/batch answer's results array:
+// its bytes, Body[Start:End], and the two numbers a merge sums.
+type BatchFragment struct {
+	Start, End     int
+	TimeS, EnergyJ float64
+}
+
+// The byte layouts of a /v1/batch answer as RenderBatch and
+// AppendBatchResult write them, which is all ScanBatchResults accepts:
+// literal bytes, with %s standing for a JSON string, %n for a JSON
+// number, and %t and %e for the time_s and energy_j numbers it reads.
+const (
+	batchHeadShape   = `{"class":%s,"count":%n,"groups":%n,"results":[`
+	batchResultShape = `{"system":%s,"program":%s,"config":{"nodes":%n,"cores":%n,"freq_ghz":%n},"time_s":%t,"energy_j":%e,"power_w":%n,"ucr":%n}`
+	batchTailShape   = "]}\n"
+)
+
+// ScanBatchResults walks a shard's /v1/batch answer and appends one
+// BatchFragment per element of its results array to frags. A shard's
+// answer is untrusted bytes that a gateway splices into its own, so the
+// scan is strict: the body must be exactly what RenderBatch renders —
+// the same keys in the same order, no whitespace, valid strings and
+// numbers, finite time_s and energy_j — and anything else is an error.
+// So every fragment it returns is one well-formed JSON object on one
+// line. It parses nothing but those two numbers.
+func ScanBatchResults(body []byte, frags []BatchFragment) ([]BatchFragment, error) {
+	d := wireDecoder{data: body}
+	var f BatchFragment
+	if err := d.match(batchHeadShape, &f); err != nil {
+		return frags, err
+	}
+	for d.peek() != ']' {
+		if len(frags) > 0 {
+			if err := d.match(",", &f); err != nil {
+				return frags, err
+			}
+		}
+		f = BatchFragment{Start: d.pos}
+		if err := d.match(batchResultShape, &f); err != nil {
+			return frags, err
+		}
+		f.End = d.pos
+		frags = append(frags, f)
+	}
+	if err := d.match(batchTailShape, &f); err != nil {
+		return frags, err
+	}
+	if d.pos != len(body) {
+		return frags, errors.New("trailing data after the answer")
+	}
+	return frags, nil
+}
+
+// match consumes the bytes shape describes (see batchResultShape) at
+// the cursor, reading its %t and %e numbers into f.
+func (d *wireDecoder) match(shape string, f *BatchFragment) error {
+	for i := 0; i < len(shape); i++ {
+		if shape[i] != '%' {
+			if d.peek() != shape[i] {
+				return d.syntaxError(fmt.Sprintf("where %q belongs", shape[i]))
+			}
+			d.pos++
+			continue
+		}
+		i++
+		if shape[i] == 's' {
+			if d.peek() != '"' {
+				return d.syntaxError("looking for beginning of a string")
+			}
+			if _, _, err := d.stringToken(); err != nil {
+				return err
+			}
+			continue
+		}
+		if c := d.peek(); c != '-' && !isDigit(c) {
+			return d.syntaxError("looking for beginning of a number")
+		}
+		tok, err := d.number()
+		if err != nil {
+			return err
+		}
+		dst := &f.TimeS
+		switch shape[i] {
+		case 'n':
+			continue
+		case 'e':
+			dst = &f.EnergyJ
+		}
+		if *dst, err = strconv.ParseFloat(string(tok), 64); err != nil {
+			return fmt.Errorf("number %s out of range", tok)
+		}
+	}
+	return nil
+}
 
 // wireNames interns every catalogue name a request may carry (systems,
 // programs, classes, engines, policies), keyed by its bytes.

@@ -5,11 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hybridperf/internal/core"
+	"hybridperf/internal/machine"
+	"hybridperf/internal/pareto"
 )
 
 // FuzzAppendBatchResult holds the batch result renderer to json.Marshal
@@ -31,10 +36,47 @@ func FuzzAppendBatchResult(f *testing.F) {
 		}
 		systems, programs := []string{"xeon", "arm"}, []string{"SP", "CP", "LB", "FT"}
 		system, program := systems[int(names)%len(systems)], programs[int(names/2)%len(programs)]
+		class := []string{"S", "A", "C"}[int(names)%3]
 		want := MustJSON(BatchResult{System: system, Program: program, Prediction: p})
 		got := AppendBatchResult([]byte("prefix"), system, program, p)
 		if string(got[len("prefix"):]) != string(want) {
 			t.Fatalf("rendered\n%s\njson.Marshal\n%s", got[len("prefix"):], want)
+		}
+		// The other forms a prediction is rendered in: a frontier point or
+		// a deadline/budget pick of a sweep, and a /v1/predict answer.
+		if got, want := AppendPrediction(nil, p), MustJSON(p); !bytes.Equal(got, want) {
+			t.Fatalf("point rendered\n%s\njson.Marshal\n%s", got, want)
+		}
+		wantPredict := append(MustJSON(PredictResponse{System: system, Program: program, Class: class, Prediction: p}), '\n')
+		if got := AppendPredictResponse(nil, system, program, class, p); !bytes.Equal(got, wantPredict) {
+			t.Fatalf("predict answer rendered\n%s\njson.Marshal\n%s", got, wantPredict)
+		}
+		// A gateway's sub-batch carrying the same coordinates.
+		tuples := []BatchTuple{{System: system, Program: program, Nodes: nodes, Cores: cores, FreqGHz: freq},
+			{System: program, Program: system, Nodes: cores, Cores: nodes, FreqGHz: -freq}}
+		wantReq := MustJSON(BatchRequest{Class: class, Engine: Engine, Workers: nodes, Tuples: tuples})
+		if got := AppendBatchRequest(nil, class, Engine, nodes, tuples); !bytes.Equal(got, wantReq) {
+			t.Fatalf("sub-batch rendered\n%s\njson.Marshal\n%s", got, wantReq)
+		}
+		// The gateway's scanner finds the result in a rendered answer, with
+		// the very floats that were rendered.
+		doc, cost := RenderBatch(nil, class, 1, 2, func(int) BatchResult {
+			return BatchResult{System: system, Program: program, Prediction: p}
+		})
+		frags, err := ScanBatchResults(doc.Body, nil)
+		if err != nil || len(frags) != 2 {
+			t.Fatalf("scanning %s: %d fragments, %v", doc.Body, len(frags), err)
+		}
+		for _, f := range frags {
+			if string(doc.Body[f.Start:f.End]) != string(want) {
+				t.Fatalf("scanned fragment %s, rendered %s", doc.Body[f.Start:f.End], want)
+			}
+			if math.Float64bits(f.TimeS) != math.Float64bits(p.TimeS) || math.Float64bits(f.EnergyJ) != math.Float64bits(p.EnergyJ) {
+				t.Fatalf("scanned time %v energy %v, rendered %v %v", f.TimeS, f.EnergyJ, p.TimeS, p.EnergyJ)
+			}
+		}
+		if sum := frags[0].TimeS + frags[1].TimeS; math.Float64bits(sum) != math.Float64bits(cost.SimSeconds) {
+			t.Fatalf("scanned times sum to %v, the answer's cost to %v", sum, cost.SimSeconds)
 		}
 	})
 }
@@ -97,7 +139,9 @@ func TestDecodersCoverEveryField(t *testing.T) {
 
 // TestAppendBatchResultCoversPredictionJSON: AppendBatchResult writes
 // every field of Prediction, in json.Marshal's order, so a field added
-// there cannot go missing from the batch answer.
+// there cannot go missing from the batch answer — nor, through
+// AppendPrediction and AppendPredictResponse, from a sweep's points or
+// a predict answer (json.NewEncoder's trailing newline included).
 func TestAppendBatchResultCoversPredictionJSON(t *testing.T) {
 	var p Prediction
 	next := 0
@@ -105,6 +149,123 @@ func TestAppendBatchResultCoversPredictionJSON(t *testing.T) {
 	want := MustJSON(BatchResult{System: "xeon", Program: "SP", Prediction: p})
 	if got := AppendBatchResult(nil, "xeon", "SP", p); !bytes.Equal(got, want) {
 		t.Errorf("rendered\n%s\njson.Marshal\n%s", got, want)
+	}
+	if got, want := AppendPrediction(nil, p), MustJSON(p); !bytes.Equal(got, want) {
+		t.Errorf("point rendered\n%s\njson.Marshal\n%s", got, want)
+	}
+	want = append(MustJSON(PredictResponse{System: "arm", Program: "LB", Class: "C", Prediction: p}), '\n')
+	if got := AppendPredictResponse(nil, "arm", "LB", "C", p); !bytes.Equal(got, want) {
+		t.Errorf("predict answer rendered\n%s\njson.Marshal\n%s", got, want)
+	}
+}
+
+// TestAppendBatchRequestCoversRequestJSON: the gateway's sub-batch
+// encoder writes every field of BatchRequest and BatchTuple, in
+// json.Marshal's order.
+func TestAppendBatchRequestCoversRequestJSON(t *testing.T) {
+	var req BatchRequest
+	next := 0
+	fillDistinct(t, reflect.ValueOf(&req).Elem(), &next)
+	want := MustJSON(req)
+	if got := AppendBatchRequest(nil, req.Class, req.Engine, req.Workers, req.Tuples); !bytes.Equal(got, want) {
+		t.Errorf("rendered\n%s\njson.Marshal\n%s", got, want)
+	}
+}
+
+// TestRenderSweepMatchesJSON: a sweep answer is json.Marshal's rendering
+// of its summary — every field, the deadline and budget picks present
+// or omitted — with the frontier array appended, as the reflection
+// renderer it replaced wrote it.
+func TestRenderSweepMatchesJSON(t *testing.T) {
+	var points []pareto.Point
+	for i, e := range []float64{900, 400, 650, 300.5, 1e-7} {
+		cfg := machine.Config{Nodes: 1 << i, Cores: 2 + i, Freq: 1.2e9 + 3e8*float64(i%3)}
+		points = append(points, pareto.Point{Cfg: cfg, Pred: core.Prediction{
+			Cfg: cfg, T: 10 / float64(i+1), E: e, UCR: 0.125 * float64(i),
+		}})
+	}
+	front := pareto.Frontier(points)
+	for _, tc := range []struct{ deadline, budget float64 }{{0, 0}, {4, 0}, {0, 700}, {1e9, 1e12}, {1e-9, 1e-9}} {
+		sum := SweepSummary{System: "xeon", Program: "SP", Class: "S", Configs: len(points)}
+		doc, cost, err := RenderSweep(sum, points, front, tc.deadline, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SweepSummary{System: "xeon", Program: "SP", Class: "S", Configs: len(points), Points: len(front)}
+		if p, ok := pareto.MinEnergyWithinDeadline(points, tc.deadline); ok && tc.deadline > 0 {
+			pj := ToPrediction(p.Pred)
+			want.Deadline = &pj
+		}
+		if p, ok := pareto.MinTimeWithinBudget(points, tc.budget); ok && tc.budget > 0 {
+			pj := ToPrediction(p.Pred)
+			want.Budget = &pj
+		}
+		frontier := make([]Prediction, len(front))
+		var wantCost Cost
+		for i, p := range front {
+			frontier[i] = ToPrediction(p.Pred)
+			wantCost.add(frontier[i])
+		}
+		wantBody := append(MustJSON(struct {
+			SweepSummary
+			Frontier []Prediction `json:"frontier"`
+		}{want, frontier}), '\n')
+		if !bytes.Equal(doc.Body, wantBody) {
+			t.Errorf("deadline %g budget %g: rendered\n%s\njson.Marshal\n%s", tc.deadline, tc.budget, doc.Body, wantBody)
+		}
+		if cost != wantCost {
+			t.Errorf("cost %+v, want %+v", cost, wantCost)
+		}
+	}
+	bad := append([]pareto.Point(nil), points...)
+	bad[0].Pred.T = math.Inf(1)
+	if _, _, err := RenderSweep(SweepSummary{}, bad, bad[:1], 0, 0); err == nil {
+		t.Error("rendered a non-finite frontier point")
+	}
+}
+
+// TestScanBatchResultsRejects: a shard answer the gateway could not
+// splice safely — anything but RenderBatch's exact layout — is an error,
+// never a fragment.
+func TestScanBatchResultsRejects(t *testing.T) {
+	res := `{"system":"xeon","program":"SP","config":{"nodes":1,"cores":1,"freq_ghz":1.8},"time_s":2,"energy_j":3,"power_w":1.5,"ucr":0}`
+	head := `{"class":"A","count":2,"groups":1,"results":[`
+	good := head + res + "," + res + "]}\n"
+	frags, err := ScanBatchResults([]byte(good), nil)
+	if err != nil || len(frags) != 2 {
+		t.Fatalf("good answer: %+v, %v", frags, err)
+	}
+	for _, f := range frags {
+		if good[f.Start:f.End] != res || f.TimeS != 2 || f.EnergyJ != 3 {
+			t.Errorf("fragment %+v: %s", f, good[f.Start:f.End])
+		}
+	}
+	if frags, err := ScanBatchResults([]byte(head+"]}\n"), nil); err != nil || len(frags) != 0 {
+		t.Errorf("empty answer: %+v, %v", frags, err)
+	}
+	for name, body := range map[string]string{
+		"empty":               "",
+		"truncated":           good[:len(good)/2],
+		"no final newline":    strings.TrimSuffix(good, "\n"),
+		"trailing data":       good + "{}",
+		"error envelope":      `{"error":"boom","status":500}` + "\n",
+		"shard errors":        `{"class":"A","count":0,"groups":0,"shard_errors":[],"results":[]}` + "\n",
+		"keys reordered":      head + strings.Replace(res, `"time_s":2,"energy_j":3`, `"energy_j":3,"time_s":2`, 1) + "]}\n",
+		"whitespace":          head + strings.Replace(res, `"time_s":2`, `"time_s": 2`, 1) + "]}\n",
+		"newline in result":   head + strings.Replace(res, `,"ucr"`, ",\n\"ucr\"", 1) + "]}\n",
+		"missing comma":       head + res + res + "]}\n",
+		"trailing comma":      head + res + ",]}\n",
+		"element a number":    head + "1]}\n",
+		"time a string":       head + strings.Replace(res, `"time_s":2`, `"time_s":"2"`, 1) + "]}\n",
+		"time overflows":      head + strings.Replace(res, `"time_s":2`, `"time_s":1e999`, 1) + "]}\n",
+		"bad number":          head + strings.Replace(res, `"ucr":0`, `"ucr":01`, 1) + "]}\n",
+		"bad string escape":   head + strings.Replace(res, `"xeon"`, `"x\qn"`, 1) + "]}\n",
+		"control char":        head + strings.Replace(res, `"xeon"`, "\"xe\x01on\"", 1) + "]}\n",
+		"unterminated string": head + `{"system":"xeon`,
+	} {
+		if frags, err := ScanBatchResults([]byte(body), nil); err == nil {
+			t.Errorf("%s: accepted %q as %+v", name, body, frags)
+		}
 	}
 }
 

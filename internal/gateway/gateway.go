@@ -1,21 +1,22 @@
-// Package gateway implements hybridperf-gw: a stateless fan-out front
-// for a sharded hybridperfd cluster. The gateway owns no models — it
-// routes point requests (/v1/predict, /v1/advise) to the replica owning
-// their (system, program) key on the same consistent-hash ring the
-// replicas use, splits /v1/batch bodies into one sub-batch per owning
-// shard, and partitions a /v1/sweep configuration space across every
-// shard so the full-space evaluation parallelises over the cluster. It
-// decodes, validates and renders with the replicas' own wire code
-// (internal/api): a request it rejects gets exactly a replica's answer,
-// and shard answers are merged back in the replicas' canonical order
-// (sweep frontiers recomputed with the same pareto code), so a response
-// through the gateway is byte-identical to the same request served by a
-// single daemon.
+// Package gateway implements hybridperf-gw: a stateless front for a
+// sharded hybridperfd cluster. The gateway owns no models — it routes
+// each request to the replica owning its (system, program) key on the
+// same consistent-hash ring the replicas use. Point requests and sweeps
+// (/v1/predict, /v1/advise, /v1/sweep: one model key each) and batches
+// whose every tuple has one owner are relayed to that owner verbatim, so
+// the answer is a single daemon's by construction. A batch spanning
+// several owners is split into one sub-batch per owner, and the owners'
+// result fragments are spliced back in the replicas' canonical order
+// without being parsed or rendered again, so it too is byte-identical to
+// the same request served by a single daemon. It decodes and validates
+// with the replicas' own wire code (internal/api): a request it rejects
+// gets exactly a replica's answer.
 //
-// Degradation is graceful by construction: a dead shard costs the tuples
-// it owned, not the request — the merged answer carries the surviving
-// results plus one error annotation per failed shard, and only a request
-// whose every sub-request failed becomes a 503.
+// Degradation is graceful by construction: point requests and sweeps
+// fail over along the ring, and on a split batch a dead shard costs the
+// tuples it owned, not the request — the merged answer carries the
+// surviving results plus one error annotation per failed shard, and only
+// a batch whose every owner failed becomes a 503.
 package gateway
 
 import (
@@ -27,6 +28,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,17 +37,24 @@ import (
 
 	"hybridperf/internal/api"
 	"hybridperf/internal/cluster"
-	"hybridperf/internal/core"
-	"hybridperf/internal/machine"
-	"hybridperf/internal/pareto"
 	"hybridperf/internal/telemetry"
 )
 
 // forwardedHeader mirrors the replicas' loop-prevention header. The
 // gateway sets it on every sub-request: the gateway already routed by
-// ownership (or is deliberately spreading a sweep), so the receiving
-// shard must serve locally instead of adding a second hop.
+// ownership (or failed over past the owner), so the receiving shard must
+// serve locally instead of adding a second hop.
 const forwardedHeader = "X-Hybridperf-Forwarded"
+
+// maxAnswerPresize bounds the buffer a shard's declared Content-Length
+// buys before its answer arrives.
+const maxAnswerPresize = 1 << 20
+
+// shardIdleConns sizes the gateway's pool of idle connections to each
+// shard. A fan-out burst opens one connection per concurrent sub-request
+// to a shard; net/http's default keeps 2 idle per host, so it would close
+// the rest after every burst and dial them again on the next.
+const shardIdleConns = 64
 
 // Gateway fans requests across a static shard list. Build with New,
 // mount with Handler.
@@ -85,7 +94,7 @@ func New(peers []string, logger *slog.Logger) (*Gateway, error) {
 	g := &Gateway{
 		ring:   ring,
 		peers:  ring.Peers(),
-		client: &http.Client{},
+		client: &http.Client{Transport: newTransport()},
 		log:    logger,
 		reg:    telemetry.NewRegistry(),
 		start:  time.Now(),
@@ -116,6 +125,15 @@ func New(peers []string, logger *slog.Logger) (*Gateway, error) {
 			time.Since(g.start).Seconds())
 	})
 	return g, nil
+}
+
+// newTransport is net/http's default transport with an idle pool of
+// shardIdleConns per shard.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no total cap: the per-shard cap bounds it
+	t.MaxIdleConnsPerHost = shardIdleConns
+	return t
 }
 
 // Registry exposes the gateway's metric registry (tests).
@@ -309,7 +327,7 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	out, err := api.ReadAll(resp.Body, make([]byte, 0, min(max(resp.ContentLength, 511), maxAnswerPresize)+1))
 	if err != nil {
 		g.mFanErr.With(peer).Inc()
 		return nil, resp.Header, err
@@ -329,7 +347,7 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 }
 
 // handlePredict proxies a point request to the owner of its model key
-// (see relay); its cost is the one prediction the answer carries.
+// (see relay).
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
 	if !ok {
@@ -340,18 +358,13 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.BadBody(w, err)
 		return
 	}
-	g.relay(w, r, "/v1/predict", req.System, req.Program, req.Engine, body,
-		func(out []byte, _ http.Header) (api.Cost, bool) {
-			var pred api.PredictResponse
-			err := json.Unmarshal(out, &pred)
-			return api.Cost{Predictions: 1, SimSeconds: pred.TimeS, EnergyJ: pred.EnergyJ}, err == nil
-		})
+	if engineOK(w, req.Engine) {
+		g.relay(w, r, "/v1/predict", req.System, req.Program, body)
+	}
 }
 
 // handleAdvise proxies an advisory request to the owner of its model key
-// (see relay), document or NDJSON stream. Its cost — the simulations it
-// ran, which the body does not list — comes from the shard's
-// attribution headers.
+// (see relay), document or NDJSON stream.
 func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
 	if !ok {
@@ -362,41 +375,58 @@ func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		api.BadBody(w, err)
 		return
 	}
-	g.relay(w, r, "/v1/advise", req.System, req.Program, req.Engine, body,
-		func(_ []byte, hdr http.Header) (api.Cost, bool) {
-			preds, err := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader))
-			simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
-			energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
-			return api.Cost{Predictions: preds, SimSeconds: simS, EnergyJ: energyJ}, err == nil
-		})
+	if engineOK(w, req.Engine) {
+		g.relay(w, r, "/v1/advise", req.System, req.Program, body)
+	}
 }
 
-// relay proxies a decoded point request's body to the owner of its
-// model key, falling through the ring-walk order when the owner is down
-// — any replica serves any key bit-identically, so failover costs at
-// most a campaign on the fallback shard. The answer is relayed verbatim,
-// so it is byte-identical to the owning shard's; its cost, read by cost,
-// is stamped on and aggregated into the gateway's per-route series.
-func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, route, system, program, engine string, body []byte,
-	cost func(out []byte, hdr http.Header) (api.Cost, bool)) {
-	if err := api.CheckEngine(engine); err != nil {
+// handleSweep proxies a sweep to the owner of its model key (see relay).
+// A sweep is one model key, so its owner evaluates the whole
+// configuration space from its own model and its own sweep response
+// cache; the gateway only validates, so a bad sweep gets a shard's 400
+// without a round trip.
+func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
+	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	var req api.SweepRequest
+	if err := api.DecodeSweep(body, &req); err != nil {
+		api.BadBody(w, err)
+		return
+	}
+	if !engineOK(w, req.Engine) {
+		return
+	}
+	if _, err := api.ResolveSweep(&req); err != nil {
 		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	g.relay(w, r, "/v1/sweep", req.System, req.Program, body)
+}
+
+// engineOK validates a request's "engine" field (see api.CheckEngine),
+// answering 400 when it is unknown.
+func engineOK(w http.ResponseWriter, engine string) bool {
+	if err := api.CheckEngine(engine); err != nil {
+		api.Error(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
+}
+
+// relay proxies a decoded request's body to the owner of its model key,
+// falling through the ring-walk order when the owner is down — any
+// replica serves any key bit-identically, so failover costs at most a
+// campaign on the fallback shard. The answer is relayed verbatim (see
+// relayAnswer), so it is byte-identical to the serving shard's.
+func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, route, system, program string, body []byte) {
 	stream := api.WantStream(r)
 	var errs []string
 	for _, peer := range g.ring.Order(cluster.ModelKey(system, program)) {
 		out, hdr, err := g.post(r, peer, route, body, stream)
 		if err == nil {
-			if c, ok := cost(out, hdr); ok {
-				g.applyAttribution(w, route, c)
-			}
-			ct := hdr.Get("Content-Type")
-			if ct == "" {
-				ct = "application/json"
-			}
-			w.Header().Set("Content-Type", ct)
-			w.Write(out)
+			g.relayAnswer(w, route, out, hdr)
 			return
 		}
 		errs = append(errs, err.Error())
@@ -414,7 +444,29 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, route, system, p
 			return
 		}
 	}
+	// Every replica is unreachable: a retryable 503, like a batch whose
+	// every owner failed.
+	w.Header().Set("Retry-After", "1")
 	api.Error(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
+}
+
+// relayAnswer writes a shard's 2xx answer verbatim, document or NDJSON.
+// Its cost comes from the shard's attribution headers, which sum exactly
+// what the body carries (and, on /v1/advise, the simulations the body
+// does not list); it is stamped on the response and aggregated into the
+// gateway's per-route series.
+func (g *Gateway) relayAnswer(w http.ResponseWriter, route string, out []byte, hdr http.Header) {
+	if preds, err := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader)); err == nil {
+		simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
+		energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
+		g.applyAttribution(w, route, api.Cost{Predictions: preds, SimSeconds: simS, EnergyJ: energyJ})
+	}
+	ct := hdr.Get("Content-Type")
+	if ct == "" {
+		ct = "application/json"
+	}
+	w.Header().Set("Content-Type", ct)
+	w.Write(out)
 }
 
 // handleSystems proxies the capability document from the first live
@@ -447,7 +499,7 @@ func (g *Gateway) handleSystems(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------
-// /v1/batch fan-out.
+// /v1/batch: relay or split and splice.
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := api.ReadBody(w, r, api.MaxBatchBodyBytes)
@@ -459,119 +511,161 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		api.BadBody(w, err)
 		return
 	}
-	if err := api.CheckEngine(req.Engine); err != nil {
-		api.Error(w, http.StatusBadRequest, "%v", err)
+	if !engineOK(w, req.Engine) {
 		return
 	}
 	// Validate and canonicalise exactly as a shard does: a bad request
 	// fails here with the 400 a shard would answer, without touching the
 	// cluster, and the canonical tuple list is the merge order.
-	_, canon, err := api.CanonBatch(&req, api.Lookup, nil, nil)
+	groups, canon, err := api.CanonBatch(&req, api.Lookup, nil, nil)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	// Partition by owning shard: every tuple of one (system, program)
-	// group lands on the replica that owns — and has, or will
-	// characterise and keep — that model.
-	byOwner := map[string][]api.BatchTuple{}
-	for _, t := range req.Tuples {
-		owner := g.ring.Owner(cluster.ModelKey(t.System, t.Program))
-		byOwner[owner] = append(byOwner[owner], t)
+	// Every (system, program) group lands on the replica that owns — and
+	// has, or will characterise and keep — that model.
+	var peers []string
+	groupOwner := make([]int, len(groups))
+	for j, gr := range groups {
+		peer := g.ring.Owner(cluster.ModelKey(gr.System, gr.Program))
+		k := slices.Index(peers, peer)
+		if k < 0 {
+			k = len(peers)
+			peers = append(peers, peer)
+		}
+		groupOwner[j] = k
 	}
-
-	type shardOut struct {
-		peer    string
-		tuples  int
-		results []api.BatchResult
-		err     error
-	}
-	outs := make([]shardOut, 0, len(byOwner))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for owner, tuples := range byOwner {
-		wg.Add(1)
-		go func(owner string, tuples []api.BatchTuple) {
-			defer wg.Done()
-			sub := api.MustJSON(api.BatchRequest{Class: req.Class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
-			out := shardOut{peer: owner, tuples: len(tuples)}
-			raw, _, err := g.post(r, owner, "/v1/batch", sub, false)
-			if err == nil {
-				var parsed api.BatchResponse
-				if uerr := json.Unmarshal(raw, &parsed); uerr != nil {
-					err = fmt.Errorf("shard %s: unparseable answer: %w", owner, uerr)
-				} else {
-					out.results = parsed.Results
-				}
+	ownerOf := func(system, program string) int {
+		for j := range groups {
+			if groups[j].System == system && groups[j].Program == program {
+				return groupOwner[j]
 			}
-			out.err = err
-			mu.Lock()
-			outs = append(outs, out)
-			mu.Unlock()
-		}(owner, tuples)
+		}
+		panic("gateway: tuple outside its batch's groups")
 	}
-	wg.Wait()
 
-	for _, o := range outs {
-		if relayClientError(w, o.err) {
+	answers := make([]shardAnswer, len(peers))
+	if len(peers) == 1 {
+		// One owner holds every tuple: its answer to the client's own body,
+		// document or NDJSON, is the answer.
+		out, hdr, err := g.post(r, peers[0], "/v1/batch", body, api.WantStream(r))
+		if err == nil {
+			g.relayAnswer(w, "/v1/batch", out, hdr)
+			return
+		}
+		answers[0] = shardAnswer{peer: peers[0], tuples: len(req.Tuples), err: err}
+	} else {
+		// Each owner gets the tuples it owns as the client sent them, not
+		// their canonical form: a frequency converted to Hz and back need
+		// not be the client's float, and the owner must see the same tuple.
+		subs := make([][]api.BatchTuple, len(peers))
+		for _, t := range req.Tuples {
+			k := ownerOf(t.System, t.Program)
+			subs[k] = append(subs[k], t)
+		}
+		var wg sync.WaitGroup
+		for k, peer := range peers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sub := api.AppendBatchRequest(make([]byte, 0, 64+96*len(subs[k])), req.Class, req.Engine, req.Workers, subs[k])
+				out, _, err := g.post(r, peer, "/v1/batch", sub, false)
+				answers[k] = shardAnswer{peer: peer, tuples: len(subs[k]), body: out, err: err}
+			}()
+		}
+		wg.Wait()
+	}
+
+	for _, a := range answers {
+		if relayClientError(w, a.err) {
 			return
 		}
 	}
-	// Each shard answers its own tuples in canonical order, so the merge
-	// walks the canonical list and takes each tuple's result from its
-	// owner's answer in turn; an owner whose answer does not hold exactly
-	// its share of the list failed.
-	owners := make([]string, len(canon))
-	share := map[string]int{}
+	owner := make([]int, len(canon))
 	for i, t := range canon {
-		if i > 0 && t.System == canon[i-1].System && t.Program == canon[i-1].Program {
-			owners[i] = owners[i-1]
-		} else {
-			owners[i] = g.ring.Owner(cluster.ModelKey(t.System, t.Program))
-		}
-		share[owners[i]]++
+		owner[i] = ownerOf(t.System, t.Program)
 	}
-	results := make(map[string][]api.BatchResult, len(outs))
-	var shardErrs []api.ShardError
-	var failures []error
-	for _, o := range outs {
-		if o.err == nil && len(o.results) != share[o.peer] {
-			o.err = fmt.Errorf("shard %s: %d results for %d tuples", o.peer, len(o.results), share[o.peer])
-		}
-		if o.err != nil {
+	doc, cost, shardErrs, ok := mergeBatch(api.Class(req.Class), canon, owner, answers)
+	for _, a := range answers {
+		if a.err != nil {
 			g.log.LogAttrs(r.Context(), slog.LevelWarn, "batch sub-request failed",
-				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, api.ShardError{Shard: o.peer, Error: o.err.Error(), Tuples: o.tuples})
-			failures = append(failures, o.err)
-			continue
+				slog.String("peer", a.peer), slog.Any("err", a.err))
 		}
-		results[o.peer] = o.results
 	}
-	merged := make([]api.BatchResult, 0, len(canon))
-	groups := 0
-	for i, t := range canon {
-		res, ok := results[owners[i]]
-		if !ok {
-			continue
-		}
-		if n := len(merged); n == 0 || merged[n-1].System != t.System || merged[n-1].Program != t.Program {
-			groups++
-		}
-		merged = append(merged, res[0])
-		results[owners[i]] = res[1:]
-	}
-	if len(merged) == 0 {
-		w.Header().Set("Retry-After", retryAfterHint(failures))
+	if !ok {
+		w.Header().Set("Retry-After", retryAfterHint(answers))
 		api.Error(w, http.StatusServiceUnavailable, "all owning shards failed: %s", joinShardErrors(shardErrs))
 		return
 	}
-	sortShardErrors(shardErrs)
-	doc, cost := api.RenderBatch(nil, api.Class(req.Class), groups, shardErrs, len(merged), func(i int) api.BatchResult {
-		return merged[i]
-	})
 	g.applyAttribution(w, "/v1/batch", cost)
 	doc.Write(w, r)
+}
+
+// shardAnswer is one owner's part of a batch: how many tuples its
+// sub-request carried, and its answer document or its failure.
+type shardAnswer struct {
+	peer   string
+	tuples int
+	body   []byte
+	err    error
+}
+
+// mergeBatch splices the owners' answers to a batch into one answer,
+// byte-identical to a single daemon's when every owner answered. canon is
+// the request's canonical tuple list, and owner[i] indexes the answer of
+// canon[i]'s owner, which lists its share of canon in the same order.
+// Each result fragment is copied as the owner rendered it, and the cost
+// is summed in body order from the fragments' time_s and energy_j, so it
+// equals a single daemon's float for float. An owner that failed, or
+// whose answer does not scan (api.ScanBatchResults) to exactly its share,
+// gets its err set and a shard_errors entry instead of results. ok is
+// false when no owner contributed a result.
+func mergeBatch(class string, canon []api.Tuple, owner []int, answers []shardAnswer) (doc api.Doc, cost api.Cost, shardErrs []api.ShardError, ok bool) {
+	share := make([]int, len(answers))
+	for _, k := range owner {
+		share[k]++
+	}
+	frags := make([][]api.BatchFragment, len(answers))
+	for k := range answers {
+		a := &answers[k]
+		if a.err == nil {
+			var err error
+			if frags[k], err = api.ScanBatchResults(a.body, make([]api.BatchFragment, 0, share[k])); err != nil {
+				a.err = fmt.Errorf("shard %s: unparseable answer: %w", a.peer, err)
+			} else if len(frags[k]) != share[k] {
+				a.err = fmt.Errorf("shard %s: %d results for %d tuples", a.peer, len(frags[k]), share[k])
+			}
+		}
+		if a.err != nil {
+			shardErrs = append(shardErrs, api.ShardError{Shard: a.peer, Error: a.err.Error(), Tuples: a.tuples})
+		}
+	}
+	parts := make([][]byte, 0, len(canon))
+	next := make([]int, len(answers))
+	groups := 0
+	var last *api.Tuple
+	for i := range canon {
+		k := owner[i]
+		if answers[k].err != nil {
+			continue
+		}
+		if t := &canon[i]; last == nil || last.System != t.System || last.Program != t.Program {
+			groups++
+			last = t
+		}
+		f := frags[k][next[k]]
+		next[k]++
+		parts = append(parts, answers[k].body[f.Start:f.End])
+		cost.Predictions++
+		cost.SimSeconds += f.TimeS
+		cost.EnergyJ += f.EnergyJ
+	}
+	sort.Slice(shardErrs, func(i, j int) bool { return shardErrs[i].Shard < shardErrs[j].Shard })
+	if len(parts) == 0 {
+		return api.Doc{}, api.Cost{}, shardErrs, false
+	}
+	return api.SpliceBatch(class, groups, shardErrs, parts), cost, shardErrs, true
 }
 
 // relayClientError relays a shard's 4xx answer as this request's answer
@@ -608,157 +702,15 @@ func joinShardErrors(errs []api.ShardError) string {
 	return strings.Join(parts, "; ")
 }
 
-func sortShardErrors(errs []api.ShardError) {
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Shard < errs[j].Shard })
-}
-
-// retryAfterHint returns the first shard-provided Retry-After among errs,
-// falling back to "1" when no shard offered its own backoff.
-func retryAfterHint(errs []error) string {
-	for _, err := range errs {
+// retryAfterHint returns the first shard-provided Retry-After among the
+// failed answers, falling back to "1" when no shard offered its own
+// backoff.
+func retryAfterHint(answers []shardAnswer) string {
+	for _, a := range answers {
 		var he *shardStatusError
-		if errors.As(err, &he) && he.retryAfter != "" {
+		if errors.As(a.err, &he) && he.retryAfter != "" {
 			return he.retryAfter
 		}
 	}
 	return "1"
-}
-
-// ---------------------------------------------------------------------
-// /v1/sweep fan-out.
-
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := api.ReadBody(w, r, api.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	var req api.SweepRequest
-	if err := api.DecodeSweep(body, &req); err != nil {
-		api.BadBody(w, err)
-		return
-	}
-	if err := api.CheckEngine(req.Engine); err != nil {
-		api.Error(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sw, err := api.ResolveSweep(&req)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Enumerate the full configuration space exactly as one daemon would
-	// — its order is the canonical response order — and cut it into one
-	// contiguous chunk per shard. A sweep is a single model key, so this
-	// deliberately ignores ownership: the win is evaluating N chunks in
-	// parallel, at the cost of each shard characterising (once,
-	// warm-loadable from a shared model store) the swept model.
-	chunks := chunkConfigs(sw.Space(req.Pow2), len(g.peers))
-
-	type chunkOut struct {
-		peer string
-		pts  []pareto.Point
-		err  error
-	}
-	outs := make([]chunkOut, len(chunks))
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		wg.Add(1)
-		go func(i int, chunk []machine.Config) {
-			defer wg.Done()
-			peer := g.peers[i%len(g.peers)]
-			pts, err := g.evalChunk(r, peer, req, sw.Class, chunk)
-			outs[i] = chunkOut{peer: peer, pts: pts, err: err}
-		}(i, chunk)
-	}
-	wg.Wait()
-
-	for _, o := range outs {
-		if relayClientError(w, o.err) {
-			return
-		}
-	}
-	var points []pareto.Point
-	var shardErrs []api.ShardError
-	var failures []error
-	for i, o := range outs {
-		if o.err != nil {
-			g.log.LogAttrs(r.Context(), slog.LevelWarn, "sweep chunk failed",
-				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, api.ShardError{Shard: o.peer, Error: o.err.Error(), Tuples: len(chunks[i])})
-			failures = append(failures, o.err)
-			continue
-		}
-		points = append(points, o.pts...)
-	}
-	if len(points) == 0 {
-		w.Header().Set("Retry-After", retryAfterHint(failures))
-		api.Error(w, http.StatusServiceUnavailable, "all shards failed: %s", joinShardErrors(shardErrs))
-		return
-	}
-	sortShardErrors(shardErrs)
-
-	// The merge proper: one frontier over every shard's points, computed
-	// and rendered by the same code a single daemon runs, over the same
-	// values (floats survive the JSON hop bit-exactly) in the same
-	// enumeration order — so the merged frontier is the frontier.
-	sum := api.SweepSummary{System: req.System, Program: req.Program, Class: sw.Class,
-		Configs: len(points), ShardErrors: shardErrs}
-	doc, cost := api.RenderSweep(sum, points, pareto.Frontier(points), req.DeadlineS, req.BudgetJ)
-	g.applyAttribution(w, "/v1/sweep", cost)
-	doc.Write(w, r)
-}
-
-// evalChunk evaluates one contiguous slice of the sweep space on one
-// shard via /v1/batch, returning the points (exact catalogue
-// configurations, wire-parsed objectives) in chunk order.
-func (g *Gateway) evalChunk(r *http.Request, peer string, req api.SweepRequest, class string, chunk []machine.Config) ([]pareto.Point, error) {
-	tuples := make([]api.BatchTuple, len(chunk))
-	for i, cfg := range chunk {
-		tuples[i] = api.BatchTuple{
-			System: req.System, Program: req.Program,
-			Nodes: cfg.Nodes, Cores: cfg.Cores, FreqGHz: cfg.Freq / 1e9,
-		}
-	}
-	sub := api.MustJSON(api.BatchRequest{Class: class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
-	raw, _, err := g.post(r, peer, "/v1/batch", sub, false)
-	if err != nil {
-		return nil, err
-	}
-	var parsed api.BatchResponse
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		return nil, fmt.Errorf("shard %s: unparseable answer: %w", peer, err)
-	}
-	if len(parsed.Results) != len(chunk) {
-		return nil, fmt.Errorf("shard %s: %d results for %d configs", peer, len(parsed.Results), len(chunk))
-	}
-	// A chunk enumerates distinct configs in canonical order, so the
-	// shard's canonical response order is the chunk order: zip by index.
-	pts := make([]pareto.Point, len(chunk))
-	for i, cfg := range chunk {
-		res := parsed.Results[i]
-		pts[i] = pareto.Point{Cfg: cfg, Pred: core.Prediction{
-			Cfg: cfg, T: res.TimeS, E: res.EnergyJ, UCR: res.UCR,
-		}}
-	}
-	return pts, nil
-}
-
-// chunkConfigs cuts cfgs into up to n contiguous, near-equal chunks
-// (never empty ones).
-func chunkConfigs(cfgs []machine.Config, n int) [][]machine.Config {
-	if n > len(cfgs) {
-		n = len(cfgs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	chunks := make([][]machine.Config, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(cfgs)/n, (i+1)*len(cfgs)/n
-		if lo < hi {
-			chunks = append(chunks, cfgs[lo:hi])
-		}
-	}
-	return chunks
 }

@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybridperf/internal/cluster"
 	"hybridperf/internal/telemetry"
@@ -135,10 +139,9 @@ func TestBatchStreamedThroughGateway(t *testing.T) {
 	}
 }
 
-// TestSweepThroughGatewayMatchesSingle: a sweep partitioned across both
-// shards and re-merged (frontier recomputed at the gateway) must equal
-// the standalone daemon's sweep byte-for-byte, deadline/budget picks
-// included.
+// TestSweepThroughGatewayMatchesSingle: a sweep relayed through the
+// gateway must equal the standalone daemon's sweep byte-for-byte,
+// deadline/budget picks included.
 func TestSweepThroughGatewayMatchesSingle(t *testing.T) {
 	_, gts, _ := newCluster(t, 2)
 	_, single := newShard(t)
@@ -154,6 +157,116 @@ func TestSweepThroughGatewayMatchesSingle(t *testing.T) {
 	}
 	if string(viaGateway) != string(direct) {
 		t.Errorf("gateway-merged sweep differs from single-daemon sweep:\ngateway: %s\ndirect:  %s", viaGateway, direct)
+	}
+}
+
+// TestSweepFailsOver: a sweep is relayed to the owner of its model key
+// and fails over along the ring like a point request. With the owner of
+// xeon/SP closed, the next ring peer serves it, and the answer is the
+// single daemon's bytes; with every shard closed it is a 503 carrying
+// Retry-After, as the sweep merge answered before.
+func TestSweepFailsOver(t *testing.T) {
+	g, gts, shards := newCluster(t, 2)
+	_, single := newShard(t)
+
+	body := `{"system":"xeon","program":"SP","class":"S","pow2":true,"deadline_s":1e9,"budget_j":1e12}`
+	order := g.ring.Order(cluster.ModelKey("xeon", "SP"))
+	for _, ts := range shards {
+		if ts.URL == order[0] {
+			ts.Close()
+		}
+	}
+	resp, viaGateway := post(t, gts.URL+"/v1/sweep", body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("failover sweep: status %d: %s", resp.StatusCode, viaGateway)
+	}
+	resp, direct := post(t, single.URL+"/v1/sweep", body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct sweep: status %d: %s", resp.StatusCode, direct)
+	}
+	if string(viaGateway) != string(direct) {
+		t.Errorf("failover sweep differs from direct:\ngateway: %s\ndirect:  %s", viaGateway, direct)
+	}
+	if n := g.mFan.With(order[1]).Value(); n != 1 {
+		t.Errorf("next ring peer %s got %d sub-requests, want 1", order[1], n)
+	}
+
+	// With the whole ring down the sweep is a retryable 503.
+	for _, ts := range shards {
+		ts.Close()
+	}
+	resp, raw := post(t, gts.URL+"/v1/sweep", body, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("sweep with every shard down: status %d, Retry-After %q: %s", resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+	}
+}
+
+// TestShardConnectionsReused: the gateway keeps an idle connection for
+// every concurrent sub-request to a shard, so a second burst of 8
+// concurrent requests to one owner dials no new shard connection. The
+// shard holds each burst until all 8 have arrived, so the first burst
+// opens exactly 8 connections.
+func TestShardConnectionsReused(t *testing.T) {
+	const burst = 8
+	var (
+		mu       sync.Mutex
+		arrivals int
+		release  = make(chan struct{})
+		dials    atomic.Int32
+	)
+	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		arrivals++
+		held := release
+		if arrivals%burst == 0 {
+			close(held)
+			release = make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{}\n"))
+	}))
+	shard.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	shard.Start()
+	t.Cleanup(shard.Close)
+	g, err := New([]string{shard.URL}, quiet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(g.Handler())
+	t.Cleanup(gts.Close)
+
+	round := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, raw := post(t, gts.URL+"/v1/predict", `{"system":"xeon","program":"SP","nodes":1,"cores":1}`, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d: %s", resp.StatusCode, raw)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	round()
+	if n := dials.Load(); n != burst {
+		t.Fatalf("first burst opened %d shard connections, want %d", n, burst)
+	}
+	// net/http returns a connection to the idle pool before the read that
+	// reaches the end of its answer returns, so the pool is settled here.
+	round()
+	if n := dials.Load(); n != burst {
+		t.Errorf("second burst dialled %d new shard connections, want 0", n-burst)
 	}
 }
 

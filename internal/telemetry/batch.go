@@ -190,7 +190,7 @@ func (s *Server) evaluateBatch(r *http.Request, sc *batchScratch, canon []api.Tu
 // one document buffer.
 func buildBatchResponse(sc *batchScratch, class string, groups int, canon []api.Tuple) (*cachedResponse, error) {
 	bad := -1
-	doc, cost := api.RenderBatch(sc.doc[:0], class, groups, nil, len(canon), func(i int) api.BatchResult {
+	doc, cost := api.RenderBatch(sc.doc[:0], class, groups, len(canon), func(i int) api.BatchResult {
 		pj := api.ToPrediction(sc.pts[i].Pred)
 		if bad < 0 && !pj.Finite() {
 			bad = i

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -670,10 +669,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.AddSpan("model", fmt.Sprintf("predict %s/%s", req.System, req.Program), t0, tPred)
 	}
 	pj := api.ToPrediction(pred)
+	if !pj.Finite() {
+		api.Error(w, http.StatusInternalServerError, "prediction at %v is not finite", cfg)
+		return
+	}
 	s.applyAttribution(w, r, "/v1/predict", makeAttribution(api.Cost{Predictions: 1, SimSeconds: pj.TimeS, EnergyJ: pj.EnergyJ}))
 	endRender := rt.Span("handler", "render")
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(api.PredictResponse{System: req.System, Program: req.Program, Class: string(class), Prediction: pj})
+	w.Write(api.AppendPredictResponse(make([]byte, 0, 256), req.System, req.Program, string(class), pj))
 	endRender()
 }
 
@@ -751,9 +754,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			rt.AddSpan("model", fmt.Sprintf("evaluate %s/%s (%d cfgs)", req.System, req.Program, len(cfgs)), t0, tEval)
 		}
 		endRender := rt.Span("handler", "render")
-		doc, cost := api.RenderSweep(api.SweepSummary{System: req.System, Program: req.Program, Class: sw.Class, Configs: len(cfgs)},
+		doc, cost, err := api.RenderSweep(api.SweepSummary{System: req.System, Program: req.Program, Class: sw.Class, Configs: len(cfgs)},
 			points, front, req.DeadlineS, req.BudgetJ)
 		endRender()
+		if err != nil {
+			return nil, err
+		}
 		// Attribution covers what the body carries: the frontier points.
 		return &cachedResponse{Doc: doc, attr: makeAttribution(cost)}, nil
 	})
